@@ -15,7 +15,7 @@ import pytest
 from benchmarks.conftest import emit
 from repro.analysis.tables import Table
 from repro.cluster.eager import EagerEngine
-from repro.core.solver import plan_migration
+from repro import plan
 from repro.extensions.completion_time import (
     reorder_rounds_by_weight,
     sum_completion_time,
@@ -32,7 +32,7 @@ def test_abl_round_sync_vs_eager(benchmark):
     for name, builder in (("vod", vod_rebalance_scenario), ("scale_out", scale_out_scenario)):
         # Round model under reserved shares (comparable to eager).
         scenario = builder(seed=21)
-        sched = plan_migration(scenario.instance)
+        sched = plan(scenario.instance).schedule
         graph = scenario.instance.graph
         round_time = 0.0
         for rnd in sched.rounds:
@@ -73,14 +73,14 @@ def test_abl_flip_engine_value(benchmark):
     ]
 
     for name, inst in workloads:
-        general = plan_migration(inst, method="general").num_rounds
-        greedy = plan_migration(inst, method="greedy").num_rounds
+        general = plan(inst, method="general").schedule.num_rounds
+        greedy = plan(inst, method="greedy").schedule.num_rounds
         table.add_row(name, lower_bound(inst), general, greedy, greedy - general)
         assert general <= greedy
     emit(table)
 
     inst = workloads[1][1]
-    benchmark(plan_migration, inst, "general")
+    benchmark(plan, inst, "general")
 
 
 def test_abl_even_rounding_vs_general(benchmark):
@@ -96,8 +96,8 @@ def test_abl_even_rounding_vs_general(benchmark):
     )
     for caps in ({3: 1.0}, {3: 0.5, 5: 0.5}, {5: 0.5, 9: 0.5}):
         inst = random_instance(14, 420, capacities=caps, seed=51)
-        general = plan_migration(inst, method="general").num_rounds
-        rounded = plan_migration(inst, method="even_rounding").num_rounds
+        general = plan(inst, method="general").schedule.num_rounds
+        rounded = plan(inst, method="even_rounding").schedule.num_rounds
         table.add_row(
             str(sorted(caps)), lower_bound(inst), general, rounded,
             rounded / general,
@@ -108,7 +108,7 @@ def test_abl_even_rounding_vs_general(benchmark):
     emit(table)
 
     inst = random_instance(14, 420, capacities={3: 0.5, 5: 0.5}, seed=51)
-    benchmark(plan_migration, inst, "even_rounding")
+    benchmark(plan, inst, "even_rounding")
 
 
 def test_abl_priority_scheduling_strategies(benchmark):
@@ -131,7 +131,7 @@ def test_abl_priority_scheduling_strategies(benchmark):
     rng = _r.Random(61)
     weights = {eid: rng.choice([1.0] * 9 + [50.0]) for eid in inst.graph.edge_ids()}
 
-    base = plan_migration(inst)
+    base = plan(inst).schedule
     reordered = reorder_rounds_by_weight(base, weights)
     promoted = promote_items(reordered, inst, weights)
     greedy = weighted_greedy_schedule(inst, weights)
@@ -157,7 +157,7 @@ def test_abl_completion_reordering(benchmark):
     )
     for seed in (41, 42, 43):
         inst = random_instance(14, 500, capacities={1: 0.4, 2: 0.4, 4: 0.2}, seed=seed)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         before = sum_completion_time(sched)
         after_sched = reorder_rounds_by_weight(sched)
         after = sum_completion_time(after_sched)
@@ -170,5 +170,5 @@ def test_abl_completion_reordering(benchmark):
     emit(table)
 
     inst = random_instance(14, 500, capacities={1: 0.4, 2: 0.4, 4: 0.2}, seed=41)
-    sched = plan_migration(inst)
+    sched = plan(inst).schedule
     benchmark(reorder_rounds_by_weight, sched)

@@ -14,7 +14,7 @@ import pytest
 from benchmarks.conftest import emit
 from repro.analysis.tables import Table
 from repro.core.lower_bounds import lb1
-from repro.core.solver import plan_migration
+from repro import plan
 from repro.core.special_cases import bipartite_optimal_schedule
 from repro.workloads.generators import bipartite_instance
 
@@ -32,8 +32,8 @@ def test_bip_optimality_sweep(benchmark):
     ):
         inst = bipartite_instance(old, new, items, c_old, c_new, seed=items)
         special = bipartite_optimal_schedule(inst)
-        general = plan_migration(inst, method="general")
-        saia = plan_migration(inst, method="saia")
+        general = plan(inst, method="general").schedule
+        saia = plan(inst, method="saia").schedule
         table.add_row(
             old, new, items, f"{c_old}/{c_new}", lb1(inst),
             special.num_rounds, general.num_rounds, saia.num_rounds,
@@ -50,7 +50,7 @@ def test_bip_auto_dispatch(benchmark):
     inst = bipartite_instance(8, 4, 300, old_capacity=1, new_capacity=3, seed=9)
 
     def run():
-        return plan_migration(inst, method="auto")
+        return plan(inst, method="auto").schedule
 
     sched = benchmark(run)
     assert sched.method == "bipartite_optimal"

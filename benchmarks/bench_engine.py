@@ -1,16 +1,18 @@
-"""EXP-ENGINE — raw-speed comparison of the two solver engines.
+"""EXP-ENGINE — raw-speed comparison of the two solver kernels.
 
-The flat CSR array backend (:mod:`repro.graphs.array_backend` plus the
-compact kernels) exists purely for speed: it must produce the *same
-bytes* as the reference object engine (`repro-migrate check --engine`
-proves that differentially) while solving large components many times
-faster.  This bench measures that factor end to end through
-``repro.plan`` — lowering cost included — on instances where the solve
-stage dominates:
+The flat CSR array kernels (:mod:`repro.graphs.array_backend` plus the
+``compact=`` kernels in the solver registry) exist purely for speed:
+each must produce the *same bytes* as its reference object kernel
+(`repro-migrate check --engine` proves that differentially) while
+solving large components many times faster.  This bench times the
+reference kernel (``spec.solve``) against the production solve path
+(:func:`repro.pipeline.parallel.backend_solver`, lowering cost
+included) for the solver ``repro.plan`` selects, on instances where
+the solve stage dominates:
 
 * the headline: a 100k-edge even-capacity random instance
-  (Δ' ≈ 1600), where the object engine's per-edge dict/object churn is
-  the bottleneck and the array engine targets **>= 10x**;
+  (Δ' ≈ 1600), where the object kernel's per-edge dict/object churn is
+  the bottleneck and the array kernel targets **>= 10x**;
 * a 30k-edge variant of the same family (mid-size scaling point);
 * a 3000-node 68-regular configuration-model instance — small Δ',
   DFS-bound, reported honestly as the family where flat arrays help
@@ -20,7 +22,7 @@ Each run appends (or refreshes, keyed by commit) one entry in
 ``BENCH_ENGINE.json`` at the repo root, so the speedups accrete per
 PR.  Run standalone with ``python -m benchmarks.bench_engine``;
 ``--quick`` runs the small smoke case only (the CI
-``engine-bench-smoke`` job) and fails unless the array engine wins.
+``engine-bench-smoke`` job) and fails unless the array kernel wins.
 Every case also re-asserts byte-identical rounds, so the speedup
 numbers can never drift away from the equivalence contract.
 """
@@ -40,14 +42,15 @@ from typing import Callable, Dict, Tuple
 from benchmarks.conftest import emit
 from repro.analysis.tables import Table
 from repro.core.problem import MigrationInstance
-from repro.pipeline.planner import plan
+from repro.pipeline.parallel import backend_solver
+from repro.pipeline.registry import select_solver
 from repro.workloads.generators import random_instance, regular_instance
 
 BENCH_FILE = pathlib.Path(__file__).resolve().parent.parent / "BENCH_ENGINE.json"
 BENCH_SCHEMA = "bench-engine/v1"
 
-# The object engine's Euler/Kempe recursions are deep on 100k-edge
-# instances; the array engine never recurses that far.
+# The object kernel's Euler/Kempe recursions are deep on 100k-edge
+# instances; the array kernel never recurses that far.
 _RECURSION_LIMIT = 500_000
 
 
@@ -92,33 +95,31 @@ CASES: Tuple[BenchCase, ...] = (
 
 
 def run_case(case: BenchCase) -> Dict[str, object]:
-    """Time both backends through ``repro.plan`` on one instance.
+    """Time both kernels of the selected solver on one instance.
 
-    Uncached, serial, same method selection — the only variable is the
-    engine.  The object run goes first so the array run can be checked
+    Same solver, same seed — the only variable is the kernel.  The
+    reference run goes first so the production run can be checked
     byte-for-byte against it.
     """
     sys.setrecursionlimit(_RECURSION_LIMIT)
     instance = case.factory()
+    spec = select_solver(instance)
 
     start = time.perf_counter()
-    obj = plan(instance, backend="object")
+    obj = spec.solve(instance, 0, None)
     object_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    arr = plan(instance, backend="array")
+    arr = backend_solver(spec, instance)(0, None)
     array_seconds = time.perf_counter() - start
 
-    identical = (
-        obj.schedule.rounds == arr.schedule.rounds
-        and obj.schedule.method == arr.schedule.method
-    )
+    identical = obj.rounds == arr.rounds and obj.method == arr.method
     return {
         "edges": instance.num_items,
         "disks": instance.num_disks,
         "delta_prime": instance.delta_prime(),
-        "method": arr.schedule.method,
-        "rounds": arr.schedule.num_rounds,
+        "method": arr.method,
+        "rounds": arr.num_rounds,
         "object_seconds": round(object_seconds, 3),
         "array_seconds": round(array_seconds, 3),
         "speedup": round(object_seconds / array_seconds, 2)
@@ -175,7 +176,7 @@ def append_entry(metrics: Dict[str, object]) -> Dict[str, object]:
 
 def _render_table(metrics: Dict[str, object]) -> Table:
     table = Table(
-        "EXP-ENGINE: array backend vs object engine (repro.plan wall time)",
+        "EXP-ENGINE: array kernel vs reference object kernel (solve wall time)",
         ["case", "edges", "Δ'", "method", "object (s)", "array (s)", "speedup"],
     )
     for name, row in metrics["cases"].items():  # type: ignore[union-attr]
@@ -191,7 +192,7 @@ def _check(metrics: Dict[str, object]) -> int:
     failures = 0
     for name, row in metrics["cases"].items():  # type: ignore[union-attr]
         if not row["identical"]:
-            print(f"FAIL {name}: backends diverged (not byte-identical)")
+            print(f"FAIL {name}: kernels diverged (not byte-identical)")
             failures += 1
         if row["speedup"] < row["target"]:
             print(
@@ -208,7 +209,8 @@ def test_engine_smoke(benchmark):
     assert _check(metrics) == 0
 
     instance = random_instance(32, 8_000, capacities={2: 0.5, 4: 0.5}, seed=7)
-    benchmark(lambda: plan(instance, backend="array"))
+    spec = select_solver(instance)
+    benchmark(lambda: backend_solver(spec, instance)(0, None))
 
 
 def main(argv=None) -> int:

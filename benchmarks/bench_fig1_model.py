@@ -13,7 +13,7 @@ import pytest
 from benchmarks.conftest import emit
 from repro.analysis.tables import Table
 from repro.core.lower_bounds import lb1
-from repro.core.solver import plan_migration
+from repro import plan
 from repro.workloads.generators import random_instance
 
 
@@ -30,7 +30,7 @@ def test_fig1_model_statistics(benchmark):
     )
     for n, m in ((5, 20), (20, 200), (50, 1000), (100, 5000)):
         inst = build(n, m)
-        sched = plan_migration(inst, method="greedy")
+        sched = plan(inst, method="greedy").schedule
         sched.validate(inst)
         table.add_row(
             n, m, inst.graph.max_multiplicity(), inst.graph.max_degree(), lb1(inst), "yes"
@@ -41,7 +41,7 @@ def test_fig1_model_statistics(benchmark):
 
 def test_bench_schedule_validation(benchmark):
     inst = build(50, 1000)
-    sched = plan_migration(inst, method="greedy")
+    sched = plan(inst, method="greedy").schedule
 
     def validate():
         sched.validate(inst)

@@ -18,7 +18,7 @@ from repro.cluster.engine import MigrationEngine
 from repro.cluster.item import DataItem
 from repro.cluster.layout import Layout
 from repro.cluster.system import StorageCluster
-from repro.core.solver import plan_migration
+from repro import plan
 
 RING = {"a": "b", "b": "c", "c": "a"}
 
@@ -40,7 +40,7 @@ def build_cluster(items_per_pair: int, transfer_limit: int):
 def run_pipeline(items_per_pair: int, transfer_limit: int) -> float:
     cluster, target = build_cluster(items_per_pair, transfer_limit)
     ctx = cluster.migration_to(target)
-    sched = plan_migration(ctx.instance)
+    sched = plan(ctx.instance).schedule
     report = MigrationEngine(cluster).execute(ctx, sched)
     return report.total_time
 

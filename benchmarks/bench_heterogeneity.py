@@ -16,7 +16,7 @@ import pytest
 from benchmarks.conftest import emit
 from repro.analysis.tables import Table
 from repro.core.lower_bounds import lower_bound
-from repro.core.solver import plan_migration
+from repro import plan
 from repro.workloads.generators import random_instance
 
 
@@ -35,8 +35,8 @@ def test_het_upgrade_fraction_sweep(benchmark):
         mix = {8: pct / 100.0, 1: 1 - pct / 100.0}
         mix = {c: f for c, f in mix.items() if f > 0}
         inst = random_instance(16, 480, capacities=mix, seed=100 + pct)
-        auto = plan_migration(inst).num_rounds
-        homo = plan_migration(inst, method="homogeneous").num_rounds
+        auto = plan(inst).schedule.num_rounds
+        homo = plan(inst, method="homogeneous").schedule.num_rounds
         speedups.append(homo / auto)
         table.add_row(pct, lower_bound(inst), auto, homo, homo / auto)
     emit(table)
@@ -46,7 +46,7 @@ def test_het_upgrade_fraction_sweep(benchmark):
     assert all(s < 1.5 for s in speedups[:-1])
 
     inst = random_instance(16, 480, capacities={8: 0.5, 1: 0.5}, seed=150)
-    benchmark(plan_migration, inst)
+    benchmark(plan, inst)
 
 
 def test_het_worst_disk_bottleneck(benchmark):
@@ -74,7 +74,7 @@ def test_het_worst_disk_bottleneck(benchmark):
         caps = {v: 8 for v in nodes[:10]}
         caps["slow"] = 1
         inst = MigrationInstance(graph, caps)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         slow_binds = inst.constrained_degree("slow") == inst.delta_prime()
         table.add_row(share, lower_bound(inst), sched.num_rounds,
                       "slow" if slow_binds else "fast fleet")
@@ -82,4 +82,4 @@ def test_het_worst_disk_bottleneck(benchmark):
             assert slow_binds
     emit(table)
 
-    benchmark(plan_migration, inst)
+    benchmark(plan, inst)

@@ -14,7 +14,7 @@ from benchmarks.conftest import emit
 from repro.analysis.tables import Table
 from repro.cluster.engine import MigrationEngine
 from repro.cluster.network import FabricRates, FabricTopology, rack_locality
-from repro.core.solver import plan_migration
+from repro import plan
 from repro.workloads.scenarios import scale_out_scenario
 
 
@@ -22,7 +22,7 @@ def run_with_uplink(uplink: float, racks: int = 3, seed: int = 17):
     scenario = scale_out_scenario(num_old=9, num_new=3, items_per_old_disk=30, seed=seed)
     topo = FabricTopology.striped(scenario.cluster.disks, racks=racks,
                                   uplink_bandwidth=uplink)
-    sched = plan_migration(scenario.instance)
+    sched = plan(scenario.instance).schedule
     engine = MigrationEngine(scenario.cluster, rate_model=FabricRates(topo))
     report = engine.execute(scenario.context, sched)
     return report.total_time, rack_locality(scenario.context, topo), sched.num_rounds
@@ -50,7 +50,7 @@ def test_net_oversubscription_sweep(benchmark):
 def test_net_generous_uplink_matches_paper_model(benchmark):
     """A dedicated fast fabric reduces to the disk-bound model."""
     scenario = scale_out_scenario(num_old=9, num_new=3, items_per_old_disk=30, seed=17)
-    sched = plan_migration(scenario.instance)
+    sched = plan(scenario.instance).schedule
     plain = MigrationEngine(scenario.cluster)
     plain_time = 0.0
     for rnd in sched.rounds:

@@ -22,7 +22,7 @@ from repro.cluster.replication import (
     validate_replication,
 )
 from repro.core.lower_bounds import lower_bound
-from repro.core.solver import plan_migration
+import repro
 
 
 def build_recovery(num_disks: int, num_items: int, limit_mix, placement_seed=7,
@@ -52,12 +52,12 @@ def test_rec_scheduler_comparison(benchmark):
     for n, m in ((8, 120), (16, 600), (32, 2400)):
         _layout, plan = build_recovery(n, m, limit_mix=(1, 2, 4))
         inst = plan.instance
-        auto = plan_migration(inst).num_rounds
-        homo = plan_migration(inst, method="homogeneous").num_rounds
+        auto = repro.plan(inst).schedule.num_rounds
+        homo = repro.plan(inst, method="homogeneous").schedule.num_rounds
         _lb2, balanced_plan = build_recovery(
             n, m, limit_mix=(1, 2, 4), planner=recovery_moves_balanced
         )
-        balanced = plan_migration(balanced_plan.instance).num_rounds
+        balanced = repro.plan(balanced_plan.instance).schedule.num_rounds
         table.add_row(
             n, m, plan.num_copies, lower_bound(inst), auto, balanced, homo,
         )
@@ -66,7 +66,7 @@ def test_rec_scheduler_comparison(benchmark):
     emit(table)
 
     _layout, plan = build_recovery(16, 600, limit_mix=(1, 2, 4))
-    benchmark(plan_migration, plan.instance)
+    benchmark(repro.plan, plan.instance)
 
 
 def test_rec_placement_spread_ablation(benchmark):
@@ -80,7 +80,7 @@ def test_rec_placement_spread_ablation(benchmark):
     results = {}
     for label, seed in (("deterministic", None), ("randomized", 7)):
         _layout, plan = build_recovery(9, 240, limit_mix=(4, 1, 1), placement_seed=seed)
-        rounds = plan_migration(plan.instance).num_rounds
+        rounds = repro.plan(plan.instance).schedule.num_rounds
         results[label] = rounds
         table.add_row(label, plan.num_copies, lower_bound(plan.instance), rounds)
     emit(table)

@@ -18,14 +18,14 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.analysis.tables import Table
-from repro.core.solver import plan_migration
+from repro import plan
 from repro.runtime import DiskCrash, FaultPlan, MigrationExecutor, RetryPolicy
 from repro.workloads.scenarios import decommission_scenario, scale_out_scenario
 
 
 def _run(scenario_fn, seed, faults, method="auto"):
     scenario = scenario_fn(seed=seed)
-    schedule = plan_migration(scenario.instance, method=method, seed=seed)
+    schedule = plan(scenario.instance, method=method, seed=seed).schedule
     executor = MigrationExecutor(
         scenario.cluster,
         scenario.context,

@@ -13,7 +13,7 @@ import pytest
 from benchmarks.conftest import emit
 from repro.analysis.tables import Table
 from repro.cluster.engine import MigrationEngine
-from repro.core.solver import plan_migration
+from repro import plan
 from repro.workloads.scenarios import (
     decommission_scenario,
     scale_out_scenario,
@@ -29,7 +29,7 @@ SCENARIOS = [
 
 def run_scenario(builder, method: str, seed: int = 11) -> tuple:
     scenario = builder(seed=seed)
-    sched = plan_migration(scenario.instance, method=method)
+    sched = plan(scenario.instance, method=method).schedule
     engine = MigrationEngine(scenario.cluster)  # bandwidth_split
     report = engine.execute(scenario.context, sched)
     return sched.num_rounds, report.total_time, scenario.instance.num_items
@@ -56,14 +56,14 @@ def test_sim_failure_replan(benchmark):
 
     def kernel():
         scenario = scale_out_scenario(num_old=6, num_new=3, items_per_old_disk=25, seed=13)
-        sched = plan_migration(scenario.instance)
+        sched = plan(scenario.instance).schedule
         engine = MigrationEngine(scenario.cluster, time_model="unit")
         return engine.execute_with_replan(
             scenario.context,
             sched,
             fail_after_round=0,
             failed_disk="new2",
-            planner=lambda inst: plan_migration(inst),
+            planner=lambda inst: plan(inst).schedule,
         )
 
     report = kernel()

@@ -12,7 +12,7 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.analysis.tables import Table
-from repro.core.solver import plan_migration
+import repro
 from repro.extensions.space import (
     default_occupancy,
     make_space_feasible,
@@ -39,7 +39,7 @@ def build_swap(num_pairs: int, items_per_disk: int, capacity: int = 4):
         moves.extend([(a, b)] * items_per_disk)
         moves.extend([(b, a)] * items_per_disk)
     inst = MigrationInstance.from_moves(moves, {v: capacity for v in nodes})
-    sched = plan_migration(inst)
+    sched = repro.plan(inst).schedule
     occ = default_occupancy(inst)
     return inst, sched, occ
 
@@ -78,7 +78,7 @@ def test_space_cycle_bypass(benchmark):
         caps = {v: 1 for v in nodes}
         caps["spare"] = 1
         inst = MigrationInstance.from_moves(moves, caps, extra_nodes=["spare"])
-        sched = plan_migration(inst)
+        sched = repro.plan(inst).schedule
         occ = {v: 1 for v in nodes}
         occ["spare"] = 0
         space = {v: 1 for v in nodes}
@@ -93,7 +93,7 @@ def test_space_cycle_bypass(benchmark):
     caps = {v: 1 for v in nodes}
     caps["spare"] = 1
     inst = MigrationInstance.from_moves(moves, caps, extra_nodes=["spare"])
-    sched = plan_migration(inst)
+    sched = repro.plan(inst).schedule
     occ = {v: 1 for v in nodes}
     occ["spare"] = 0
     space = {v: 1 for v in nodes}

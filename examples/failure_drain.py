@@ -13,14 +13,14 @@ Run:  python examples/failure_drain.py
 
 from repro.cluster.engine import MigrationEngine
 from repro.cluster.events import DiskRemoved, MigrationReplanned
-from repro.core.solver import plan_migration
+from repro import plan
 from repro.workloads.scenarios import decommission_scenario
 
 
 def main() -> None:
     scenario = decommission_scenario(num_disks=10, num_retiring=3, items_per_disk=30, seed=2)
     instance = scenario.instance
-    schedule = plan_migration(instance)
+    schedule = plan(instance).schedule
     print(f"decommission: {instance.num_items} items to drain off retiring disks")
     print(f"planned schedule: {schedule.num_rounds} rounds ({schedule.method})\n")
 
@@ -37,7 +37,7 @@ def main() -> None:
         schedule,
         fail_after_round=0,
         failed_disk=victim,
-        planner=lambda inst: plan_migration(inst),
+        planner=lambda inst: plan(inst).schedule,
     )
 
     print(f"\nreplans: {report.replans}")

@@ -10,7 +10,7 @@ reports *how* the plan was made.
 Run:  python examples/quickstart.py
 """
 
-from repro import MigrationInstance, lower_bound, plan, plan_migration
+from repro import MigrationInstance, lower_bound, plan
 
 
 def main() -> None:
@@ -29,7 +29,7 @@ def main() -> None:
     print(f"instance: {instance}")
     print(f"lower bound (max of LB1/LB2): {lower_bound(instance)} rounds")
 
-    schedule = plan_migration(instance)  # auto: picks the right algorithm
+    schedule = plan(instance).schedule  # auto: picks the right algorithm
     print(f"scheduler used: {schedule.method}")
     print(f"schedule length: {schedule.num_rounds} rounds\n")
 

@@ -19,7 +19,7 @@ from repro.cluster.replication import (
     validate_replication,
 )
 from repro.core.lower_bounds import lower_bound
-from repro.core.solver import plan_migration
+import repro
 
 
 def main() -> None:
@@ -46,10 +46,10 @@ def main() -> None:
     print(f"re-replication lower bound: {lower_bound(plan.instance)} rounds")
 
     for method in ("auto", "greedy", "homogeneous"):
-        sched = plan_migration(plan.instance, method=method)
+        sched = repro.plan(plan.instance, method=method).schedule
         print(f"  {method:12s}: {sched.num_rounds} rounds")
 
-    sched = plan_migration(plan.instance)
+    sched = repro.plan(plan.instance).schedule
     print("\nper-disk transfer lanes during recovery (auto schedule):")
     print(render_gantt(plan.instance, sched, max_rounds=30))
     validate_replication(layout, 2)  # redundancy restored in the layout

@@ -18,11 +18,8 @@ Quickstart::
 pipeline and returns a :class:`PlanResult` carrying the validated
 schedule plus per-stage/per-solver profiles and per-component
 attribution; it accepts ``seed``, ``cache``, ``parallel``, ``certify``
-and ``tracer``.  The historical flat call,
-:func:`plan_migration(inst) <repro.core.solver.plan_migration>`
-``-> MigrationSchedule``, survives as a deprecated compatibility shim
-over the same pipeline.  When the instance *changes* instead of
-arriving fresh, :func:`repro.plan_delta` absorbs an
+and ``tracer``.  The schedule alone is ``repro.plan(inst).schedule``.
+When the instance *changes* instead of arriving fresh, :func:`repro.plan_delta` absorbs an
 :class:`InstanceDelta <repro.core.delta.InstanceDelta>` by patching
 the prior schedule — byte-identical to a full replan, at a fraction
 of the cost.
@@ -71,7 +68,6 @@ from repro.core.objectives import (
 )
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
-from repro.core.solver import plan_migration
 from repro.core.lower_bounds import lb1, lb2, lower_bound
 from repro.exact import OptimalityCertificate, solve_exact
 from repro.graphs.multigraph import Multigraph
@@ -95,7 +91,6 @@ __all__ = [
     "apply_delta",
     "plan",
     "plan_delta",
-    "plan_migration",
     "solve_exact",
     "lower_bound",
     "lb1",

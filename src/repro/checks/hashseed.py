@@ -33,13 +33,13 @@ class DeterminismError(Exception):
 #: argv: num_disks num_items instance_seed method
 PLAN_DRIVER = """\
 import json, sys
-from repro.core.solver import plan_migration
+from repro.pipeline import plan
 from repro.workloads import random_instance
 
 num_disks, num_items, instance_seed = map(int, sys.argv[1:4])
 method = sys.argv[4]
 instance = random_instance(num_disks, num_items, seed=instance_seed)
-schedule = plan_migration(instance, method=method, seed=0)
+schedule = plan(instance, method=method, seed=0).schedule
 payload = {
     "method": schedule.method,
     "rounds": [list(rnd) for rnd in schedule.rounds],
@@ -78,7 +78,7 @@ sys.stdout.write(json.dumps(payload, sort_keys=True))
 #: argv: scenario_seed executor_seed
 EXECUTOR_DRIVER = """\
 import json, sys
-from repro.core.solver import plan_migration
+from repro.pipeline import plan
 from repro.runtime import DiskCrash, FaultPlan, MigrationExecutor
 from repro.workloads.scenarios import decommission_scenario
 
@@ -88,7 +88,7 @@ faults = FaultPlan(transfer_failure_rate=0.1, crashes=(DiskCrash("new-2", 5.0),)
 executor = MigrationExecutor(
     scenario.cluster,
     scenario.context,
-    plan_migration(scenario.instance),
+    plan(scenario.instance).schedule,
     faults=faults,
     seed=executor_seed,
 )
@@ -117,41 +117,42 @@ sys.stdout.write(run_campaign(config).canonical_json())
 """
 
 
-#: Plans the same instance on the object and the array backend, fails
-#: if they diverge in-process, and prints the array schedule
-#: canonically — so the engine-equivalence contract is also checked
-#: *across* hash seeds (both backends must be hash-seed independent
-#: and agree with each other in every process).
+#: Runs one solver's reference kernel (``spec.solve``) and its
+#: production path (``backend_solver``, the array kernel) on the same
+#: instance, fails if they diverge in-process, and prints the
+#: production schedule canonically — so the engine-equivalence
+#: contract is also checked *across* hash seeds (both kernels must be
+#: hash-seed independent and agree with each other in every process).
 #: argv: num_disks num_items instance_seed method
 ENGINE_DRIVER = """\
 import json, sys
-from repro.pipeline import plan
+from repro.pipeline.parallel import backend_solver
+from repro.pipeline.registry import get_solver
 from repro.workloads import random_instance
 
 num_disks, num_items, instance_seed = map(int, sys.argv[1:4])
-method = sys.argv[4]
+spec = get_solver(sys.argv[4])
 instance = random_instance(
     num_disks, num_items, capacities={1: 0.3, 2: 0.4, 4: 0.3},
     seed=instance_seed,
 )
-obj = plan(instance, method=method, seed=0, backend="object").schedule
-arr = plan(instance, method=method, seed=0, backend="array").schedule
-if obj.rounds != arr.rounds or obj.method != arr.method:
-    sys.exit("array backend diverged from object backend")
+ref = spec.solve(instance, 0, None)
+prod = backend_solver(spec, instance)(0, None)
+if ref.rounds != prod.rounds or ref.method != prod.method:
+    sys.exit("array kernel diverged from its reference kernel")
 payload = {
-    "method": arr.method,
-    "rounds": [list(rnd) for rnd in arr.rounds],
+    "method": prod.method,
+    "rounds": [list(rnd) for rnd in prod.rounds],
 }
 sys.stdout.write(json.dumps(payload, sort_keys=True))
 """
 
 
 #: Plans a multi-component instance, applies a fixed delta through
-#: ``plan_delta`` on both engine backends, fails if they diverge
-#: in-process, and prints the patched schedule, dispositions and
-#: certificate digests canonically — the incremental replanner must be
-#: hash-seed independent end to end (token maps, patch recoloring,
-#: cache write-through, certificates).  argv: seed
+#: ``plan_delta`` on a shared cache, and prints the patched schedule,
+#: dispositions and certificate digests canonically — the incremental
+#: replanner must be hash-seed independent end to end (token maps,
+#: patch recoloring, cache write-through, certificates).  argv: seed
 DELTA_DRIVER = """\
 import json, random, sys
 from repro.core.delta import InstanceDelta
@@ -180,20 +181,16 @@ delta = InstanceDelta(
     retarget_moves=(("c2.d0", "c2.d1", "c2.d4"),),
     capacity_changes=(("c3.d0", 2),),
 )
-payloads = []
-for backend in ("object", "array"):
-    cache = PlanCache(max_entries=512)
-    prior = plan(instance, "auto", 0, cache=cache, backend=backend, certify=True)
-    result = plan_delta(prior, delta, cache=cache, backend=backend, certify=True)
-    payloads.append({
-        "rounds": [list(rnd) for rnd in result.schedule.rounds],
-        "dispositions": list(result.dispositions),
-        "bound": result.certificate.bound,
-        "patch_digest": result.patch_certificate.result_digest,
-    })
-if payloads[0] != payloads[1]:
-    sys.exit("delta planner diverged between backends")
-sys.stdout.write(json.dumps(payloads[0], sort_keys=True))
+cache = PlanCache(max_entries=512)
+prior = plan(instance, "auto", 0, cache=cache, certify=True)
+result = plan_delta(prior, delta, cache=cache, certify=True)
+payload = {
+    "rounds": [list(rnd) for rnd in result.schedule.rounds],
+    "dispositions": list(result.dispositions),
+    "bound": result.certificate.bound,
+    "patch_digest": result.patch_certificate.result_digest,
+}
+sys.stdout.write(json.dumps(payload, sort_keys=True))
 """
 
 
@@ -336,13 +333,13 @@ def check_determinism(
     )
     checks.append(
         compare_across_hash_seeds(
-            "engine/array-vs-object", ENGINE_DRIVER, ["12", "60", "7", "auto"],
+            "engine/array-vs-reference", ENGINE_DRIVER, ["12", "60", "7", "general"],
             hash_seeds,
         )
     )
     checks.append(
         compare_across_hash_seeds(
-            "delta/array-vs-object", DELTA_DRIVER, ["7"], hash_seeds
+            "delta/plan-delta-chain", DELTA_DRIVER, ["7"], hash_seeds
         )
     )
     if include_executor:

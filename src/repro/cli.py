@@ -31,8 +31,9 @@ Subcommands:
 * ``fuzz`` — cross-validate all schedulers on randomized instances.
 * ``check`` — correctness tooling (:mod:`repro.checks`): determinism
   linter, mypy strict gate, cross-``PYTHONHASHSEED`` harness, the
-  differential engine harness (``--engine``, array vs object backend),
-  and independent schedule certification (``--certify``).
+  differential engine harness (``--engine``: each solver's array
+  kernel against its reference object kernel), and independent
+  schedule certification (``--certify``).
 """
 
 from __future__ import annotations
@@ -45,9 +46,8 @@ from repro.analysis.metrics import compare_methods
 from repro.analysis.tables import Table
 from repro.cluster.engine import MigrationEngine
 from repro.core.problem import MigrationInstance
-from repro.core.solver import METHODS
 from repro.pipeline.planner import plan
-from repro.pipeline.registry import BACKENDS, DEFAULT_BACKEND
+from repro.pipeline.registry import METHODS
 from repro.workloads.generators import random_instance
 from repro.workloads.scenarios import (
     decommission_scenario,
@@ -159,7 +159,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         workers=args.workers,
         certify=args.certify,
         tracer=tracer,
-        backend=args.backend,
         objective=objective,
     )
     if store is not None:
@@ -186,12 +185,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     if result.components:
         table = Table(
             "components",
-            ["#", "disks", "items", "method", "backend", "rounds", "cached"],
+            ["#", "disks", "items", "method", "rounds", "cached"],
         )
         for comp in result.components:
             table.add_row(
                 comp.index, comp.num_disks, comp.num_items,
-                comp.method, comp.backend, comp.rounds,
+                comp.method, comp.rounds,
                 "yes" if comp.cached else "no",
             )
         print(table.render())
@@ -228,7 +227,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         report = {
             "method": schedule.method,
             "rounds": schedule.num_rounds,
-            "backend": args.backend,
             "seed": args.seed,
             "objective": result.objective.kind if result.objective else "makespan",
             "objective_value": result.objective_value,
@@ -243,7 +241,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                     "disks": comp.num_disks,
                     "items": comp.num_items,
                     "method": comp.method,
-                    "backend": comp.backend,
                     "rounds": comp.rounds,
                     "cached": comp.cached,
                 }
@@ -895,7 +892,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.engine or run_all:
         engine_report = check_engine_equivalence()
         if human:
-            print("engine (array vs object backend):")
+            print("engine (array kernel vs reference kernel):")
             print(engine_report.render())
         exact_report = check_exact_vs_heuristic()
         if human:
@@ -945,15 +942,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="treat the input as a JSON instance (see `generate`)",
     )
     p_plan.add_argument("--seed", type=int, default=0)
-    p_plan.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-                        help="engine backend for the solve stage: 'array' "
-                             "runs the flat-CSR kernels where a solver has "
-                             "one, 'object' forces the reference engine; "
-                             "schedules are byte-identical "
-                             f"(default {DEFAULT_BACKEND})")
     p_plan.add_argument("--report", metavar="PATH", default=None,
                         help="write a JSON plan report: rounds, per-component "
-                             "method/backend attribution, cache hits")
+                             "method attribution, cache hits")
     p_plan.add_argument("--parallel", action="store_true",
                         help="solve components in a process pool")
     p_plan.add_argument("--workers", type=int, default=None,
@@ -1213,8 +1204,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "async-safety, pool-boundary rules)")
     p_check.add_argument("--engine", action="store_true",
                          help="run only the differential engine harness "
-                              "(array backend byte-identical to the "
-                              "object engine across the generator corpus)")
+                              "(each solver's array kernel byte-identical "
+                              "to its reference object kernel across the "
+                              "generator corpus)")
     p_check.add_argument("--fast", action="store_true",
                          help="skip the (slow) executor determinism case")
     p_check.add_argument("--json", action="store_true",

@@ -15,8 +15,10 @@
 * :mod:`repro.core.objectives` — scheduling objectives beyond makespan
   (bounded edge coloring, weighted group completion times), consumed
   by the branch-and-bound solver in :mod:`repro.exact`.
-* :mod:`repro.core.solver` — the public entry point
-  :func:`~repro.core.solver.plan_migration`.
+
+The algorithms are reached through one entry point, :func:`repro.plan`
+(``repro.plan(instance).schedule`` for the schedule alone), which
+selects among them per connected component.
 """
 
 from repro.core.problem import MigrationInstance
@@ -32,7 +34,6 @@ from repro.core.objectives import (
     load_objective,
     objective_from_json,
 )
-from repro.core.solver import plan_migration
 
 __all__ = [
     "MAKESPAN",
@@ -45,7 +46,6 @@ __all__ = [
     "ObjectiveError",
     "load_objective",
     "objective_from_json",
-    "plan_migration",
     "lower_bound",
     "lb1",
     "lb2",

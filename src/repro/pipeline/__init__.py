@@ -3,10 +3,9 @@
 ``plan()`` runs normalize → decompose → select → solve → merge →
 certify and returns a :class:`PlanResult` carrying the validated
 schedule plus per-stage timings, per-component method attribution,
-and (when requested) a composed lower-bound certificate.
-
-:func:`repro.core.solver.plan_migration` is a thin wrapper over this
-package, kept for backward compatibility.
+and (when requested) a composed lower-bound certificate.  It is the
+one way to plan (``repro.plan(instance).schedule`` for the schedule
+alone); :func:`plan_delta` is its incremental counterpart.
 """
 
 from repro.pipeline.cache import CachedPlan, CacheStats, PlanCache
@@ -31,6 +30,7 @@ from repro.pipeline.planner import (
     plan,
 )
 from repro.pipeline.registry import (
+    METHODS,
     SolverSpec,
     get_solver,
     register_solver,
@@ -49,6 +49,7 @@ from repro.pipeline.stages import (
 __all__ = [
     "DELTA_STAGES",
     "GENERAL_SOLVE_RESTARTS",
+    "METHODS",
     "PARALLEL_AUTO_THRESHOLD",
     "STAGES",
     "CachedPlan",

@@ -35,11 +35,11 @@ independent lower-bound certifier, and bound to their inputs by a
 
 Determinism contract: ``plan_delta(prior, delta)`` is a pure function
 of ``(prior instance, prior schedule bytes, prior seed, delta)`` —
-cache state and backend change only how much work is done, never the
-output bytes.  The patch path always runs on the object engine (warm
-starts are not a solver kernel); the ``backend`` argument affects
-fallback re-solves only, which are byte-identical across backends by
-the engine-equivalence contract.
+cache state changes only how much work is done, never the output
+bytes.  The patch path runs on the object
+:class:`~repro.core.recolor.ColoringState` (warm starts are not a
+solver kernel); fallback re-solves run the same solve path as
+``plan()``.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from repro.core.schedule import MigrationSchedule
 from repro.graphs.multigraph import EdgeId
 from repro.obs import names
 from repro.obs.trace import Tracer, ensure_tracer
-from repro.pipeline.cache import CachedPlan, PlanCache
+from repro.pipeline.cache import PlanCache
 from repro.pipeline.canonical import (
     PairToken,
     TokenRounds,
@@ -67,14 +67,9 @@ from repro.pipeline.canonical import (
     reprs_unambiguous,
 )
 from repro.pipeline.parallel import SolveOutcome, backend_solver, solve_job
-from repro.pipeline.planner import ComponentPlan, PlanResult, _certify, _stage
-from repro.pipeline.registry import (
-    DEFAULT_BACKEND,
-    effective_backend,
-    resolve_backend,
-    select_solver,
-)
-from repro.pipeline.stages import decompose, merge
+from repro.pipeline.planner import PlanResult, _certify, _merge_components, _stage
+from repro.pipeline.registry import select_solver
+from repro.pipeline.stages import decompose
 
 #: delta-pipeline stages, in execution order (timing dict's key set).
 DELTA_STAGES = ("apply", "decompose", "select", "patch", "merge", "certify")
@@ -156,7 +151,6 @@ def plan_delta(
     prior: PlanResult,
     delta: InstanceDelta,
     *,
-    backend: str = DEFAULT_BACKEND,
     cache: Optional[PlanCache] = None,
     certify: bool = True,
     tracer: Optional[Tracer] = None,
@@ -169,8 +163,6 @@ def plan_delta(
             instance and have been an ``"auto"`` plan; a forced-method
             prior has no per-component structure to patch.
         delta: the instance edit to absorb.
-        backend: engine for fallback re-solves (byte-identical either
-            way; the patch path itself runs on the object engine).
         cache: optional :class:`PlanCache`.  Consulted per component
             exactly like ``plan()`` and **written through** for every
             disposition, so a later ``plan(patched, cache=...)`` —
@@ -207,7 +199,6 @@ def plan_delta(
             "anchor an incremental replan"
         )
     seed = prior.seed
-    backend = resolve_backend(backend)
     tr = ensure_tracer(tracer)
     result = DeltaPlanResult(
         schedule=MigrationSchedule([], method="auto"),
@@ -245,7 +236,7 @@ def plan_delta(
         if not components:
             # Nothing to move — resolve exactly like plan()'s empty path.
             spec = select_solver(patched)
-            schedule = backend_solver(spec, patched, backend)(seed, None)
+            schedule = backend_solver(spec, patched)(seed, None)
             result.schedule = schedule
         else:
             with _stage(tr, result, "select"):
@@ -323,22 +314,8 @@ def plan_delta(
 
                     # 4. full per-component re-solve — byte-identical
                     #    to plan()'s cold path (same job, same seed).
-                    outcomes[k] = solve_job(
-                        (comp.instance, spec.name, comp_seed, backend)
-                    )
+                    outcomes[k] = solve_job((comp.instance, spec.name, comp_seed))
 
-                # Write-through: after a plan_delta, the cache serves
-                # the patched instance byte-for-byte.
-                if cache is not None:
-                    for k, comp in enumerate(components):
-                        if comp.fingerprint is None or cached_flags[k]:
-                            continue
-                        out = outcomes[k]
-                        assert out is not None
-                        cache.put_plan(
-                            comp.fingerprint, selections[k].name, seed,
-                            CachedPlan(method=out[1], rounds=out[0]),
-                        )
                 reused = dispositions.count(DISPOSITION_REUSED)
                 patched_n = dispositions.count(DISPOSITION_PATCHED)
                 resolved = dispositions.count(DISPOSITION_RESOLVED)
@@ -349,37 +326,13 @@ def plan_delta(
                 if resolved:
                     tr.count(names.DELTA_COMPONENTS_RESOLVED, resolved)
 
-            with _stage(tr, result, "merge"):
-                component_rounds = []
-                methods = []
-                for comp, outcome in zip(components, outcomes):
-                    assert outcome is not None  # every index is filled above
-                    tokens_out, solver_method = outcome
-                    component_rounds.append(
-                        rehydrate_rounds(comp.instance, tokens_out)
-                    )
-                    methods.append(solver_method)
-                result.schedule = merge(patched, component_rounds, methods)
-
+            # Write-through: after a plan_delta, the cache serves the
+            # patched instance byte-for-byte.
+            _merge_components(
+                patched, components, selections, outcomes, seeds, cached_flags,
+                seed, cache, result, tr,
+            )
             result.dispositions = tuple(dispositions)
-            result.components = [
-                ComponentPlan(
-                    index=comp.index,
-                    num_disks=comp.num_disks,
-                    num_items=comp.num_items,
-                    method=outcomes[k][1] if outcomes[k] else selections[k].name,
-                    rounds=len(outcomes[k][0]) if outcomes[k] else 0,
-                    seed=seeds[k],
-                    cached=cached_flags[k],
-                    fingerprint=comp.fingerprint,
-                    backend=(
-                        "object"
-                        if dispositions[k] == DISPOSITION_PATCHED
-                        else effective_backend(selections[k], backend)
-                    ),
-                )
-                for k, comp in enumerate(components)
-            ]
 
         with _stage(tr, result, "certify"):
             result.schedule.validate(patched)

@@ -1,9 +1,8 @@
 """The staged planner: normalize → decompose → select → solve → merge → certify.
 
-:func:`plan` is the pipeline's one entry point.  It subsumes the old
-flat ``plan_migration`` dispatch (which survives as a thin wrapper in
-:mod:`repro.core.solver`) and adds what the flat dispatcher could not
-express:
+:func:`plan` is the pipeline's one entry point (``repro.plan``;
+:func:`repro.pipeline.delta.plan_delta` is its incremental
+counterpart).  Beyond running one solver over the instance it adds:
 
 * **per-component solver selection** — an even-capacity or bipartite
   component is promoted to its optimal algorithm even when the global
@@ -30,10 +29,13 @@ history change only *how much work* is done, never the bytes of the
 resulting schedule.  Stage timings are diagnostics and exempt (they
 are wall-clock measurements by nature).
 
-A forced ``method=`` (anything but ``"auto"``) solves monolithically,
-exactly like the legacy dispatcher: forcing a method means "run this
-algorithm on this instance", and baselines keep their comparative
-meaning.
+A forced ``method=`` (anything but ``"auto"``) solves monolithically:
+forcing a method means "run this algorithm on this instance", and
+baselines keep their comparative meaning.
+
+Every solve runs :func:`repro.pipeline.parallel.backend_solver`: the
+solver's CSR array kernel when it registered one, its reference
+object kernel otherwise.
 """
 
 from __future__ import annotations
@@ -51,21 +53,19 @@ from repro.obs.profile import Stopwatch, Timing, accumulate
 from repro.obs.trace import Tracer, ensure_tracer
 from repro.pipeline.cache import CachedPlan, PlanCache
 from repro.pipeline.canonical import (
-    TokenRounds,
     canonicalize_rounds,
     derive_component_seed,
     fingerprint,
     rehydrate_rounds,
 )
-from repro.pipeline.parallel import SolveJob, backend_solver, solve_job, solve_jobs
-from repro.pipeline.registry import (
-    DEFAULT_BACKEND,
-    SolverSpec,
-    effective_backend,
-    get_solver,
-    resolve_backend,
-    select_solver,
+from repro.pipeline.parallel import (
+    SolveJob,
+    SolveOutcome,
+    backend_solver,
+    solve_job,
+    solve_jobs,
 )
+from repro.pipeline.registry import SolverSpec, get_solver, select_solver
 from repro.pipeline.stages import (
     Component,
     decompose,
@@ -94,12 +94,6 @@ class ComponentPlan:
     seed: int
     cached: bool
     fingerprint: Optional[str]
-    #: engine backend that solved (or would have solved) the component:
-    #: "array" when the selected solver ran its compact CSR kernel,
-    #: "object" for the reference path.  Cache hits report the backend
-    #: the solve would have used — the bytes are identical either way,
-    #: which is also why plan-cache keys carry no backend.
-    backend: str = "object"
 
 
 @dataclass
@@ -211,7 +205,6 @@ def plan(
     seed: int = 0,
     stats: Optional[GeneralSolverStats] = None,
     *,
-    backend: str = DEFAULT_BACKEND,
     cache: Optional[PlanCache] = None,
     parallel: Union[bool, str] = False,
     workers: Optional[int] = None,
@@ -235,13 +228,6 @@ def plan(
         seed: base randomness seed.  Component solves draw from seeds
             derived per component fingerprint, so unchanged components
             reproduce their schedules across replans.
-        backend: ``"array"`` (default) lowers each component onto the
-            flat CSR engine when the selected solver has a compact
-            kernel, falling back to the object engine otherwise;
-            ``"object"`` forces the reference engine everywhere.  The
-            two backends are byte-identical by contract (enforced by
-            the differential harness), so the choice affects speed
-            only — plan-cache keys and fingerprints ignore it.
         stats: optional :class:`GeneralSolverStats`, filled by general
             solves.  Providing it disables caching and parallelism for
             this call (diagnostics require an in-process solve); under
@@ -269,8 +255,10 @@ def plan(
         A :class:`PlanResult`; its schedule is already validated.
 
     Raises:
-        ValueError: for an unknown method.
+        ValueError: for an unknown method or an invalid ``parallel``.
     """
+    if not (parallel is True or parallel is False or parallel == "auto"):
+        raise ValueError(f"parallel must be True, False or 'auto', got {parallel!r}")
     timings: Dict[str, float] = {name: 0.0 for name in STAGES}
     result = PlanResult(
         schedule=MigrationSchedule([], method=method),
@@ -282,21 +270,19 @@ def plan(
     if stats is not None:
         cache = None
         parallel = False
-    backend = resolve_backend(backend)
     tr = ensure_tracer(tracer)
     obj = objective if objective is not None else instance.objective
 
     with tr.span(names.SPAN_PLAN, method=method, seed=seed) as root:
         with _stage(tr, result, "normalize"):
-            normalized = normalize(instance)
+            normalize(instance)
 
         if obj.kind != "makespan":
             _plan_objective(instance, obj, method, result, tr)
         elif method != "auto":
-            _plan_forced(instance, method, seed, stats, backend, cache, result, tr)
+            _plan_forced(instance, method, seed, stats, cache, result, tr)
         else:
-            _plan_auto(instance, normalized.empty, seed, stats, backend, cache,
-                       parallel, workers, result, tr)
+            _plan_auto(instance, seed, stats, cache, parallel, workers, result, tr)
 
         with _stage(tr, result, "certify"):
             result.schedule.validate(instance)
@@ -324,7 +310,6 @@ def _plan_forced(
     method: str,
     seed: int,
     stats: Optional[GeneralSolverStats],
-    backend: str,
     cache: Optional[PlanCache],
     result: PlanResult,
     tracer: Tracer,
@@ -348,7 +333,7 @@ def _plan_forced(
             with tracer.span(names.SPAN_SOLVE, method=spec.name, component=0):
                 watch = Stopwatch()
                 with watch:
-                    solved = backend_solver(spec, instance, backend)(seed, stats)
+                    solved = backend_solver(spec, instance)(seed, stats)
             accumulate(result.solver_profile, spec.name, watch)
             schedule = _round_trip(instance, solved, fp)
             if cache is not None and fp is not None:
@@ -374,7 +359,6 @@ def _plan_forced(
             seed=seed,
             cached=cached,
             fingerprint=fp,
-            backend=effective_backend(spec, backend),
         )
     ]
 
@@ -455,10 +439,8 @@ def _certify_objective(instance: MigrationInstance, result: PlanResult) -> None:
 
 def _plan_auto(
     instance: MigrationInstance,
-    empty: bool,
     seed: int,
     stats: Optional[GeneralSolverStats],
-    backend: str,
     cache: Optional[PlanCache],
     parallel: Union[bool, str],
     workers: Optional[int],
@@ -469,10 +451,9 @@ def _plan_auto(
         components = decompose(instance)
 
     if not components:
-        # Nothing to move; resolve exactly like the legacy dispatcher
-        # (an empty instance is trivially all-even).
+        # Nothing to move; an empty instance is trivially all-even.
         spec = select_solver(instance)
-        schedule = backend_solver(spec, instance, backend)(seed, stats)
+        schedule = backend_solver(spec, instance)(seed, stats)
         schedule.validate(instance)
         result.schedule = schedule
         return
@@ -484,7 +465,7 @@ def _plan_auto(
 
     with _stage(tracer, result, "solve"):
         seeds: List[int] = []
-        outcomes: List[Optional[Tuple[TokenRounds, str]]] = [None] * len(components)
+        outcomes: List[Optional[SolveOutcome]] = [None] * len(components)
         cached_flags = [False] * len(components)
         for k, (comp, spec) in enumerate(zip(components, selections)):
             comp_seed = (
@@ -504,7 +485,7 @@ def _plan_auto(
 
         miss_indices = [k for k, out in enumerate(outcomes) if out is None]
         jobs: List[SolveJob] = [
-            (components[k].instance, selections[k].name, seeds[k], backend)
+            (components[k].instance, selections[k].name, seeds[k])
             for k in miss_indices
         ]
         use_pool = _should_parallelize(parallel, [components[k] for k in miss_indices])
@@ -526,12 +507,6 @@ def _plan_auto(
                 accumulate(result.solver_profile, job[1], watch)
         for k, outcome in zip(miss_indices, solved):
             outcomes[k] = outcome
-            comp, spec = components[k], selections[k]
-            if cache is not None and comp.fingerprint is not None:
-                cache.put_plan(
-                    comp.fingerprint, spec.name, seed,
-                    CachedPlan(method=outcome[1], rounds=outcome[0]),
-                )
         if miss_indices:
             tracer.count(names.PLAN_COMPONENTS_SOLVED, len(miss_indices))
         if len(components) > len(miss_indices):
@@ -540,29 +515,63 @@ def _plan_auto(
                 len(components) - len(miss_indices),
             )
 
-    with _stage(tracer, result, "merge"):
-        component_rounds = []
-        methods = []
-        for comp, outcome in zip(components, outcomes):
-            assert outcome is not None  # every index is filled above
-            tokens, solver_method = outcome
-            component_rounds.append(rehydrate_rounds(comp.instance, tokens))
-            methods.append(solver_method)
-        result.schedule = merge(instance, component_rounds, methods)
-
+    _merge_components(
+        instance, components, selections, outcomes, seeds, cached_flags,
+        seed, cache, result, tracer,
+    )
     result.parallel = use_pool
     result.workers = workers if (use_pool and workers) else 1
+
+
+def _merge_components(
+    instance: MigrationInstance,
+    components: Sequence[Component],
+    selections: Sequence[SolverSpec],
+    outcomes: Sequence[Optional[SolveOutcome]],
+    seeds: Sequence[int],
+    cached_flags: Sequence[bool],
+    seed: int,
+    cache: Optional[PlanCache],
+    result: PlanResult,
+    tracer: Tracer,
+) -> None:
+    """The per-component tail shared by ``plan`` and ``plan_delta``.
+
+    Writes every outcome not served by the cache through to it (under
+    the ``(fingerprint, solver, base seed)`` key both planners look
+    up), merges the component rounds into ``result.schedule`` and
+    fills the :class:`ComponentPlan` attribution list.  Every entry of
+    ``outcomes`` must be filled.
+    """
+    done: List[SolveOutcome] = []
+    for outcome in outcomes:
+        assert outcome is not None  # every index is filled by the caller
+        done.append(outcome)
+    with _stage(tracer, result, "merge"):
+        if cache is not None:
+            for k, comp in enumerate(components):
+                if comp.fingerprint is not None and not cached_flags[k]:
+                    cache.put_plan(
+                        comp.fingerprint, selections[k].name, seed,
+                        CachedPlan(method=done[k][1], rounds=done[k][0]),
+                    )
+        component_rounds = [
+            rehydrate_rounds(comp.instance, tokens)
+            for comp, (tokens, _method) in zip(components, done)
+        ]
+        result.schedule = merge(
+            instance, component_rounds, [method for _tokens, method in done]
+        )
     result.components = [
         ComponentPlan(
             index=comp.index,
             num_disks=comp.num_disks,
             num_items=comp.num_items,
-            method=outcomes[k][1] if outcomes[k] else selections[k].name,
-            rounds=len(outcomes[k][0]) if outcomes[k] else 0,
+            method=done[k][1],
+            rounds=len(done[k][0]),
             seed=seeds[k],
             cached=cached_flags[k],
             fingerprint=comp.fingerprint,
-            backend=effective_backend(selections[k], backend),
         )
         for k, comp in enumerate(components)
     ]
@@ -571,14 +580,13 @@ def _plan_auto(
 def _should_parallelize(
     parallel: Union[bool, str], miss_components: Sequence[Component]
 ) -> bool:
+    """Pool decision for an already validated ``parallel`` value."""
     if parallel is False or len(miss_components) < 2:
         return False
     if parallel is True:
         return True
-    if parallel == "auto":
-        total = sum(_estimated_cost(c) for c in miss_components)
-        return total >= PARALLEL_AUTO_THRESHOLD
-    raise ValueError(f"parallel must be True, False or 'auto', got {parallel!r}")
+    total = sum(_estimated_cost(c) for c in miss_components)
+    return total >= PARALLEL_AUTO_THRESHOLD
 
 
 # ----------------------------------------------------------------------

@@ -14,10 +14,11 @@ a :class:`SolverSpec` registered through :func:`register_solver`:
   (baselines are registered but only reachable by explicit
   ``method=`` so comparisons keep working).
 
-The built-in catalog reproduces the legacy ``plan_migration`` dispatch
-order exactly — even-optimal before bipartite before general — via the
-cost hints, so single-solver instances keep their historical method
-names while mixed instances gain per-component promotion.
+The built-in catalog prefers even-optimal before bipartite before
+general via the cost hints, so single-solver instances keep their
+historical method names while mixed instances gain per-component
+promotion.  :data:`METHODS` lists every value ``repro.plan`` accepts
+as ``method=``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.core.baselines import (
     saia_schedule,
 )
 from repro.core.even_optimal import even_optimal_schedule, even_optimal_schedule_compact
-from repro.core.exact import exact_optimum
 from repro.core.general import (
     GeneralSolverStats,
     general_schedule,
@@ -58,39 +58,16 @@ SolveFn = Callable[
     [MigrationInstance, int, Optional[GeneralSolverStats]], MigrationSchedule
 ]
 
-#: ``solve_compact(lowered, seed, stats)`` — the array-backend variant.
-#: Must produce a schedule byte-identical to ``solve`` on the source
-#: instance; the differential harness (`repro.checks.engine`) enforces
-#: this across the generator corpus.
+#: ``solve_compact(lowered, seed, stats)`` — the CSR array kernel the
+#: solve stage runs.  Must produce a schedule byte-identical to
+#: ``solve`` (the reference object kernel) on the source instance; the
+#: differential harness (`repro.checks.engine`) enforces this across
+#: the generator corpus.
 SolveCompactFn = Callable[
     [CompactInstance, int, Optional[GeneralSolverStats]], MigrationSchedule
 ]
 
 ApplicableFn = Callable[[MigrationInstance], bool]
-
-#: Engine backends the solve stage can dispatch to.  ``"array"`` lowers
-#: each component onto the flat CSR representation and runs the
-#: solver's compact kernel when it registered one (solvers without a
-#: compact kernel fall back to the object path); ``"object"`` forces
-#: the reference engine.  Schedules are byte-identical either way.
-BACKENDS = ("object", "array")
-
-#: Backend used when the caller does not choose one.
-DEFAULT_BACKEND = "array"
-
-
-def resolve_backend(backend: str) -> str:
-    """Validate a backend name.
-
-    Raises:
-        ValueError: for anything but a member of :data:`BACKENDS`.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    return backend
-
 
 @dataclass(frozen=True)
 class SolverSpec:
@@ -104,8 +81,9 @@ class SolverSpec:
     auto: bool
     randomized: bool  # output depends on the seed → restarts can help
     order: int  # registration order; breaks cost_hint ties deterministically
-    #: array-backend kernel, byte-identical to ``solve``; None means
-    #: the solver runs on the object engine regardless of backend.
+    #: CSR array kernel, byte-identical to ``solve``; when present the
+    #: solve stage runs it, and ``solve`` is the differential reference.
+    #: None means the solve stage runs ``solve``.
     solve_compact: Optional[SolveCompactFn] = None
     #: objective kinds this solver can optimize (``Objective.kind``
     #: tags).  Every legacy solver optimizes makespan only; the exact
@@ -114,18 +92,6 @@ class SolverSpec:
 
     def supports_objective(self, kind: str) -> bool:
         return kind in self.objectives
-
-
-def effective_backend(spec: SolverSpec, backend: str) -> str:
-    """The backend that will actually run ``spec`` under ``backend``.
-
-    A requested ``"array"`` backend only takes effect for solvers that
-    registered a compact kernel; everything else keeps the reference
-    object path.
-    """
-    if backend == "array" and spec.solve_compact is not None:
-        return "array"
-    return "object"
 
 
 _REGISTRY: Dict[str, SolverSpec] = {}
@@ -145,7 +111,7 @@ def register_solver(
     """Register a solver under ``name``; use as a decorator.
 
     Args:
-        name: the public method name (``plan_migration``'s ``method=``).
+        name: the public method name (``repro.plan``'s ``method=``).
         applicable: predicate gating the solver (default: always).
         cost_hint: auto-selection priority — lower wins among
             applicable auto solvers.
@@ -154,9 +120,9 @@ def register_solver(
         randomized: output depends on the seed, so the pipeline's solve
             stage may restart the solver with derived seeds when a
             component comes out above its lower bound.
-        compact: optional array-backend kernel; must be byte-identical
-            to the object solver (same rounds, same method label) so
-            the plan cache and fingerprints can stay backend-agnostic.
+        compact: optional CSR array kernel, run by the solve stage in
+            place of the decorated function; must be byte-identical to
+            it (same rounds, same method label).
         objectives: ``Objective.kind`` tags the solver can optimize
             (default: makespan only).
 
@@ -234,7 +200,7 @@ def select_solver(
 
 
 # ----------------------------------------------------------------------
-# built-in catalog (registration order == legacy METHODS order)
+# built-in catalog (registration order == METHODS order)
 # ----------------------------------------------------------------------
 
 def _compact_even_optimal(
@@ -344,20 +310,6 @@ def _solve_even_rounding(
     return even_rounding_schedule(instance)
 
 
-@register_solver(
-    "exact",
-    applicable=lambda inst: inst.num_items <= 16,
-    cost_hint=50,
-    optimal=True,
-)
-def _solve_exact(
-    instance: MigrationInstance,
-    seed: int,
-    stats: Optional[GeneralSolverStats],
-) -> MigrationSchedule:
-    return exact_optimum(instance)
-
-
 def _exact_bb_applicable(instance: MigrationInstance) -> bool:
     return (
         instance.num_items <= EXACT_SEARCH_EDGE_LIMIT
@@ -379,3 +331,8 @@ def _solve_exact_bb(
     stats: Optional[GeneralSolverStats],
 ) -> MigrationSchedule:
     return exact_bb_schedule(instance, seed, stats)
+
+
+#: All accepted ``method=`` values: ``"auto"`` plus every registered
+#: solver, in registration order.
+METHODS = ("auto",) + solver_names()

@@ -8,14 +8,14 @@ from repro.analysis.metrics import (
     schedule_quality,
     summarize_ratios,
 )
-from repro.core.solver import plan_migration
+from repro import plan
 from tests.conftest import random_instance
 
 
 class TestScheduleQuality:
     def test_fields(self):
         inst = random_instance(6, 20, seed=0)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         q = schedule_quality(inst, sched)
         assert q.rounds == sched.num_rounds
         assert q.ratio >= 1.0
@@ -28,7 +28,7 @@ class TestScheduleQuality:
 
     def test_precomputed_lb_respected(self):
         inst = random_instance(6, 20, seed=0)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         q = schedule_quality(inst, sched, precomputed_lb=1)
         assert q.lower_bound == 1
 

@@ -22,7 +22,7 @@ from repro.checks import (
 from repro.checks.certify import LB1Witness, LB2Witness, LowerBoundCertificate
 from repro.core.lower_bounds import lower_bound
 from repro.core.problem import MigrationInstance
-from repro.core.solver import METHODS, plan_migration
+from repro import plan
 from tests.conftest import even_instance, random_instance
 
 SEEDS = range(6)
@@ -32,37 +32,37 @@ class TestVerifySchedule:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_planner_output_verifies(self, seed):
         inst = random_instance(8, 25, seed=seed)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         assert verify_schedule(inst, sched.rounds) == sched.num_rounds
 
     @pytest.mark.parametrize("method", ["general", "saia", "greedy"])
     def test_every_method_verifies(self, method):
         inst = random_instance(8, 25, seed=1)
-        sched = plan_migration(inst, method=method)
+        sched = plan(inst, method=method).schedule
         assert verify_schedule(inst, sched.rounds) == sched.num_rounds
 
     def test_even_rounding_verifies_on_even_capacities(self):
         inst = even_instance(8, 25, seed=1)
-        sched = plan_migration(inst, method="even_rounding")
+        sched = plan(inst, method="even_rounding").schedule
         assert verify_schedule(inst, sched.rounds) == sched.num_rounds
 
     def test_missing_edge_rejected(self):
         inst = random_instance(6, 15, seed=0)
-        rounds = [list(rnd) for rnd in plan_migration(inst).rounds]
+        rounds = [list(rnd) for rnd in plan(inst).schedule.rounds]
         rounds[0] = rounds[0][1:]  # drop one transfer
         with pytest.raises(CertificationError, match="never scheduled"):
             verify_schedule(inst, rounds)
 
     def test_duplicated_edge_rejected(self):
         inst = random_instance(6, 15, seed=0)
-        rounds = [list(rnd) for rnd in plan_migration(inst).rounds]
+        rounds = [list(rnd) for rnd in plan(inst).schedule.rounds]
         rounds[-1].append(rounds[0][0])
         with pytest.raises(CertificationError, match="more than once"):
             verify_schedule(inst, rounds)
 
     def test_unknown_edge_rejected(self):
         inst = random_instance(6, 15, seed=0)
-        rounds = [list(rnd) for rnd in plan_migration(inst).rounds]
+        rounds = [list(rnd) for rnd in plan(inst).schedule.rounds]
         rounds[0].append(10_000)
         with pytest.raises(CertificationError, match="unknown edge"):
             verify_schedule(inst, rounds)
@@ -95,7 +95,7 @@ class TestCertificates:
     def test_even_capacity_optimal_path_is_certified(self, seed):
         """Theorem 4.1: all-even capacities schedule in exactly Δ' rounds."""
         inst = even_instance(8, 30, seed=seed)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         report = certify(inst, sched)
         assert report.certified_optimal
         assert report.rounds == inst.delta_prime()
@@ -111,7 +111,7 @@ class TestCertificates:
 
     def test_certify_accepts_raw_rounds(self):
         inst = random_instance(6, 12, seed=3)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         report = certify(inst, [list(r) for r in sched.rounds])
         assert report.rounds == sched.num_rounds
         assert report.method == "unknown"
@@ -177,7 +177,7 @@ class TestTamperRejection:
 
     def test_certify_raises_on_forged_certificate(self):
         inst, cert = self._cert()
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         forged = LowerBoundCertificate(
             bound=cert.bound + 3, lb1=cert.lb1, lb2=cert.lb2, exact=cert.exact
         )

@@ -8,7 +8,7 @@ from repro.cluster.engine import MigrationEngine
 from repro.cluster.item import DataItem
 from repro.cluster.layout import Layout
 from repro.cluster.system import StorageCluster
-from repro.core.solver import plan_migration
+from repro import plan
 from repro.workloads.scenarios import scale_out_scenario, vod_rebalance_scenario
 
 
@@ -58,7 +58,7 @@ class TestEagerVsRounds:
         real), but it stays within the Graham-style 2x factor and the
         ablation bench reports the empirical comparison."""
         scenario = builder(seed=seed)
-        sched = plan_migration(scenario.instance)
+        sched = plan(scenario.instance).schedule
 
         # Round model with the reserved-share rate: each round costs
         # the slowest transfer at full-capacity sharing.

@@ -8,7 +8,7 @@ from repro.cluster.engine import MigrationEngine
 from repro.cluster.item import DataItem
 from repro.cluster.layout import Layout
 from repro.cluster.system import StorageCluster
-from repro.core.solver import plan_migration
+from repro import plan
 
 
 def figure2_cluster(items_per_pair: int, transfer_limit: int):
@@ -35,7 +35,7 @@ class TestTimeModels:
     def test_unit_model_counts_rounds(self):
         cluster, target = figure2_cluster(3, transfer_limit=1)
         ctx = cluster.migration_to(target)
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         report = MigrationEngine(cluster, time_model="unit").execute(ctx, sched)
         assert report.total_time == sched.num_rounds
 
@@ -44,13 +44,13 @@ class TestTimeModels:
         M = 4
         c1, t1 = figure2_cluster(M, transfer_limit=1)
         ctx1 = c1.migration_to(t1)
-        s1 = plan_migration(ctx1.instance)
+        s1 = plan(ctx1.instance).schedule
         r1 = MigrationEngine(c1).execute(ctx1, s1)
         assert r1.total_time == pytest.approx(3 * M)
 
         c2, t2 = figure2_cluster(M, transfer_limit=2)
         ctx2 = c2.migration_to(t2)
-        s2 = plan_migration(ctx2.instance)
+        s2 = plan(ctx2.instance).schedule
         r2 = MigrationEngine(c2).execute(ctx2, s2)
         assert r2.total_time == pytest.approx(2 * M)
 
@@ -65,7 +65,7 @@ class TestTimeModels:
             disks=disks, items=[item], layout=Layout({"x": "slow"})
         )
         ctx = cluster.migration_to(Layout({"x": "fast"}))
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         report = MigrationEngine(cluster).execute(ctx, sched)
         assert report.total_time == pytest.approx(1.0 / 0.5)
 
@@ -79,7 +79,7 @@ class TestExecution:
     def test_layout_reaches_target(self):
         cluster, target = figure2_cluster(3, transfer_limit=2)
         ctx = cluster.migration_to(target)
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         MigrationEngine(cluster).execute(ctx, sched)
         for item_id in target.items:
             assert cluster.layout.disk_of(item_id) == target.disk_of(item_id)
@@ -87,7 +87,7 @@ class TestExecution:
     def test_events_recorded(self):
         cluster, target = figure2_cluster(2, transfer_limit=1)
         ctx = cluster.migration_to(target)
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         report = MigrationEngine(cluster).execute(ctx, sched)
         migrations = report.log.of_type(ItemMigrated)
         assert len(migrations) == ctx.num_moves
@@ -97,7 +97,7 @@ class TestExecution:
     def test_round_durations_sum_to_total(self):
         cluster, target = figure2_cluster(3, transfer_limit=2)
         ctx = cluster.migration_to(target)
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         report = MigrationEngine(cluster).execute(ctx, sched)
         assert sum(report.round_durations) == pytest.approx(report.total_time)
 
@@ -106,7 +106,7 @@ class TestFailureInjection:
     def test_failure_aborts_and_reports_stranded(self):
         cluster, target = figure2_cluster(4, transfer_limit=1)
         ctx = cluster.migration_to(target)
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         assert sched.num_rounds > 2
         report = MigrationEngine(cluster).execute(
             ctx, sched, fail_disk_after_round=(0, "a")
@@ -125,14 +125,14 @@ class TestFailureInjection:
         target = Layout({f"i{k}": ("d1" if k % 2 else "d2") for k in range(6)})
         cluster = StorageCluster(disks=disks, items=items, layout=layout)
         ctx = cluster.migration_to(target)
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         engine = MigrationEngine(cluster, time_model="unit")
         report = engine.execute_with_replan(
             ctx,
             sched,
             fail_after_round=0,
             failed_disk="d2",
-            planner=lambda inst: plan_migration(inst),
+            planner=lambda inst: plan(inst).schedule,
         )
         assert report.replans == 1
         assert report.log.of_type(MigrationReplanned)
@@ -151,14 +151,14 @@ class TestFailureInjection:
         costs nothing and no replan happens."""
         cluster, target = figure2_cluster(4, transfer_limit=1)
         ctx = cluster.migration_to(target)
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         engine = MigrationEngine(cluster, time_model="unit")
         report = engine.execute_with_replan(
             ctx,
             sched,
             fail_after_round=sched.num_rounds - 1,
             failed_disk="a",
-            planner=lambda inst: plan_migration(inst),
+            planner=lambda inst: plan(inst).schedule,
         )
         assert report.replans == 0
         assert report.stranded_items == []
@@ -177,7 +177,7 @@ class TestFailureInjection:
         target = Layout({f"i{k}": ("d1" if k % 2 else "d2") for k in range(4)})
         cluster = StorageCluster(disks=disks, items=items, layout=layout)
         ctx = cluster.migration_to(target)
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         assert sched.num_rounds > 1
         engine = MigrationEngine(cluster, time_model="unit")
         report = engine.execute_with_replan(
@@ -185,7 +185,7 @@ class TestFailureInjection:
             sched,
             fail_after_round=0,
             failed_disk="d3",
-            planner=lambda inst: plan_migration(inst),
+            planner=lambda inst: plan(inst).schedule,
         )
         assert report.stranded_items == []
         assert sorted(report.migrated_items) == sorted(layout.items)
@@ -203,14 +203,14 @@ class TestFailureInjection:
         target = Layout({f"i{k}": "d2" for k in range(6)})
         cluster = StorageCluster(disks=disks, items=items, layout=layout)
         ctx = cluster.migration_to(target)
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         engine = MigrationEngine(cluster, time_model="unit")
         report = engine.execute_with_replan(
             ctx,
             sched,
             fail_after_round=0,
             failed_disk="d0",
-            planner=lambda inst: plan_migration(inst),
+            planner=lambda inst: plan(inst).schedule,
         )
         assert len(report.stranded_items) == len(set(report.stranded_items))
         for item_id in report.stranded_items:
@@ -226,14 +226,14 @@ class TestFailureInjection:
         target = Layout({f"i{k}": "d1" for k in range(4)})
         cluster = StorageCluster(disks=disks, items=items, layout=layout)
         ctx = cluster.migration_to(target)
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         engine = MigrationEngine(cluster, time_model="unit")
         report = engine.execute_with_replan(
             ctx,
             sched,
             fail_after_round=0,
             failed_disk="d0",
-            planner=lambda inst: plan_migration(inst),
+            planner=lambda inst: plan(inst).schedule,
         )
         # One item moved in round 0; the rest were sourced on d0.
         assert len(report.migrated_items) == 1

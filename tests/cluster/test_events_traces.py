@@ -9,7 +9,7 @@ from repro.cluster.item import DataItem
 from repro.cluster.layout import Layout
 from repro.cluster.system import StorageCluster
 from repro.cluster.traces import MigrationTrace, replay_trace
-from repro.core.solver import plan_migration
+from repro import plan
 
 
 class TestEventLog:
@@ -42,7 +42,7 @@ def executed_migration():
     cluster = StorageCluster(disks=disks, items=items, layout=layout)
     initial = cluster.layout.copy()
     ctx = cluster.migration_to(target)
-    sched = plan_migration(ctx.instance)
+    sched = plan(ctx.instance).schedule
     report = MigrationEngine(cluster).execute(ctx, sched)
     return cluster, initial, report
 

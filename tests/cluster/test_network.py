@@ -14,7 +14,7 @@ from repro.cluster.network import (
     rack_locality,
 )
 from repro.cluster.system import StorageCluster
-from repro.core.solver import plan_migration
+from repro import plan
 
 
 def two_disk_plan(bandwidth_a=1.0, bandwidth_b=1.0, limit=2, items=2):
@@ -106,7 +106,7 @@ class TestFabric:
 class TestEngineIntegration:
     def test_engine_accepts_rate_model(self):
         cluster, ctx = two_disk_plan(items=4, limit=2)
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         engine = MigrationEngine(cluster, rate_model=ReservedLaneRates())
         report = engine.execute(ctx, sched)
         # 4 items, 2 lanes of 0.5 each: 2 rounds x 2 time units.
@@ -114,11 +114,11 @@ class TestEngineIntegration:
 
     def test_default_matches_fair_share(self):
         cluster1, ctx1 = two_disk_plan(items=4, limit=2)
-        sched1 = plan_migration(ctx1.instance)
+        sched1 = plan(ctx1.instance).schedule
         t_default = MigrationEngine(cluster1).execute(ctx1, sched1).total_time
 
         cluster2, ctx2 = two_disk_plan(items=4, limit=2)
-        sched2 = plan_migration(ctx2.instance)
+        sched2 = plan(ctx2.instance).schedule
         t_fair = MigrationEngine(cluster2, rate_model=FairShareRates()).execute(
             ctx2, sched2
         ).total_time

@@ -13,7 +13,7 @@ from repro.cluster.replication import (
     validate_replication,
 )
 from repro.core.errors import InvalidInstanceError, ScheduleValidationError
-from repro.core.solver import plan_migration
+import repro
 
 
 def fleet(n, limit=2):
@@ -88,7 +88,7 @@ class TestRecovery:
         layout = place_replicated(catalog(60), disks, replicas=2)
         survivors = [d for d in disks if d.disk_id != "d3"]
         plan = recovery_moves(layout, "d3", survivors)
-        sched = plan_migration(plan.instance)
+        sched = repro.plan(plan.instance).schedule
         sched.validate(plan.instance)
 
     def test_last_replica_loss_detected(self):
@@ -131,21 +131,19 @@ class TestBalancedRecovery:
         plan = recovery_moves_balanced(layout, "d0", survivors)
         assert plan.num_copies == len(plan.degraded_items)
         validate_replication(layout, 2)
-        from repro.core.solver import plan_migration as pm
-
-        pm(plan.instance).validate(plan.instance)
+        repro.plan(plan.instance).schedule.validate(plan.instance)
 
     def test_never_slower_than_greedy_planner(self):
-        from repro.core.solver import plan_migration as pm
-
         disks = self.make_mixed_fleet()
         survivors = [d for d in disks if d.disk_id != "d0"]
         layout_a = place_replicated(catalog(120), disks, replicas=2, seed=5)
         layout_b = place_replicated(catalog(120), disks, replicas=2, seed=5)
-        greedy = pm(recovery_moves(layout_a, "d0", survivors).instance).num_rounds
-        balanced = pm(
+        greedy = repro.plan(
+            recovery_moves(layout_a, "d0", survivors).instance
+        ).schedule.num_rounds
+        balanced = repro.plan(
             recovery_moves_balanced(layout_b, "d0", survivors).instance
-        ).num_rounds
+        ).schedule.num_rounds
         assert balanced <= greedy
 
     def test_capable_disks_receive_more(self):

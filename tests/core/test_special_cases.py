@@ -10,7 +10,7 @@ from repro.core.special_cases import (
     is_forest_instance,
     try_special_case_schedule,
 )
-from repro.core.solver import plan_migration
+from repro import plan
 from repro.graphs.coloring.bipartite import NotBipartiteError
 from repro.workloads.generators import bipartite_instance
 
@@ -81,7 +81,7 @@ class TestBipartiteOptimal:
         # the general algorithm only promises LB + O(sqrt(LB)).
         inst = bipartite_instance(8, 4, 200, old_capacity=1, new_capacity=5, seed=3)
         special = bipartite_optimal_schedule(inst)
-        general = plan_migration(inst, method="general")
+        general = plan(inst, method="general").schedule
         assert special.num_rounds <= general.num_rounds
         assert special.num_rounds == lb1(inst)
 
@@ -97,11 +97,11 @@ class TestDispatch:
 
     def test_auto_uses_bipartite_optimal_for_odd_bipartite(self):
         inst = bipartite_instance(4, 4, 30, old_capacity=1, new_capacity=3, seed=2)
-        sched = plan_migration(inst, method="auto")
+        sched = plan(inst, method="auto").schedule
         assert sched.method == "bipartite_optimal"
         assert sched.num_rounds == lb1(inst)
 
     def test_auto_still_prefers_even_optimal(self):
         inst = bipartite_instance(4, 4, 30, old_capacity=2, new_capacity=4, seed=2)
-        sched = plan_migration(inst, method="auto")
+        sched = plan(inst, method="auto").schedule
         assert sched.method == "even_optimal"

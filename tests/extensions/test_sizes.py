@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core.solver import plan_migration
+from repro import plan
 from repro.extensions.sizes import size_class_schedule, size_classes, simulated_time
 from tests.conftest import random_instance
 
@@ -48,14 +48,14 @@ class TestSizeClassSchedule:
     def test_uniform_sizes_add_no_rounds(self):
         inst, _ = sized_instance(3)
         uniform = {eid: 1.0 for eid in inst.graph.edge_ids()}
-        mixed = plan_migration(inst)
+        mixed = plan(inst).schedule
         classed = size_class_schedule(inst, uniform)
         assert classed.num_rounds == mixed.num_rounds
 
     def test_reduces_straggler_waste(self):
         """A few huge items among small ones: class separation wins."""
         inst, sizes = sized_instance(7, heavy_fraction=0.08)
-        mixed = plan_migration(inst)
+        mixed = plan(inst).schedule
         classed = size_class_schedule(inst, sizes)
         t_mixed = simulated_time(inst, mixed, sizes)
         t_classed = simulated_time(inst, classed, sizes)
@@ -67,7 +67,7 @@ class TestSimulatedTime:
         from repro.core.problem import MigrationInstance
 
         inst = MigrationInstance.uniform([("a", "b")], capacity=1)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         (eid,) = inst.graph.edge_ids()
         assert simulated_time(inst, sched, {eid: 5.0}) == pytest.approx(5.0)
         assert simulated_time(

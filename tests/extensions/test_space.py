@@ -5,7 +5,7 @@ import pytest
 from repro.core.errors import ScheduleValidationError, SolverError
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
-from repro.core.solver import plan_migration
+import repro
 from repro.extensions.space import (
     SpacePlan,
     SpaceState,
@@ -57,7 +57,7 @@ class TestMakeSpaceFeasible:
     @pytest.mark.parametrize("seed", range(8))
     def test_one_spare_unit_suffices(self, seed):
         inst = random_instance(8, 35, capacity_choices=(1, 2), seed=seed)
-        sched = plan_migration(inst)
+        sched = repro.plan(inst).schedule
         plan = make_space_feasible(inst, sched)
         assert plan.num_rounds >= sched.num_rounds or sched.num_rounds == 0
         # Hall et al.: a spare unit keeps the overhead a small constant.
@@ -65,7 +65,7 @@ class TestMakeSpaceFeasible:
 
     def test_ample_space_means_no_overhead(self):
         inst = random_instance(8, 30, capacity_choices=(2,), seed=3)
-        sched = plan_migration(inst)
+        sched = repro.plan(inst).schedule
         occ = default_occupancy(inst)
         roomy = {v: 10_000 for v in inst.graph.nodes}
         plan = make_space_feasible(inst, sched, occupancy=occ, space=roomy)
@@ -80,7 +80,7 @@ class TestMakeSpaceFeasible:
             {"a": 1, "b": 1, "c": 1, "spare": 1},
             extra_nodes=["spare"],
         )
-        sched = plan_migration(inst)
+        sched = repro.plan(inst).schedule
         occ = {"a": 1, "b": 1, "c": 1, "spare": 0}
         space = {"a": 1, "b": 1, "c": 1, "spare": 1}
         plan = make_space_feasible(inst, sched, occupancy=occ, space=space)
@@ -91,7 +91,7 @@ class TestMakeSpaceFeasible:
         inst = MigrationInstance.from_moves(
             [("a", "b"), ("b", "a")], {"a": 1, "b": 1}
         )
-        sched = plan_migration(inst)
+        sched = repro.plan(inst).schedule
         occ = {"a": 1, "b": 1}
         space = {"a": 1, "b": 1}
         with pytest.raises(SolverError):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro import MigrationInstance, lower_bound, plan_migration
+from repro import MigrationInstance, lower_bound, plan
 from repro.analysis.metrics import compare_methods
 from repro.cluster.engine import MigrationEngine
 from repro.cluster.traces import MigrationTrace, replay_trace
@@ -35,7 +35,7 @@ class TestSchedulerCrossChecks:
 
     def test_even_fleet_auto_is_certifiably_optimal(self):
         inst = random_instance(10, 60, capacities={2: 0.5, 4: 0.5}, seed=9)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         assert sched.method == "even_optimal"
         assert sched.num_rounds == inst.delta_prime()
         # The lower bound module independently certifies optimality.
@@ -45,7 +45,7 @@ class TestSchedulerCrossChecks:
     def test_general_matches_exact_on_small_inputs(self, seed):
         inst = random_instance(5, 10, capacities={1: 0.5, 3: 0.5}, seed=seed)
         opt = exact_optimum_rounds(inst)
-        got = plan_migration(inst, method="general").num_rounds
+        got = plan(inst, method="general").schedule.num_rounds
         assert got <= opt + 2 * math.isqrt(opt) + 2
 
 
@@ -55,18 +55,18 @@ class TestWorkloadFamilies:
         for M in (2, 5, 8):
             c1 = clique_instance(3, M, capacity=1)
             c2 = clique_instance(3, M, capacity=2)
-            assert plan_migration(c1).num_rounds == 3 * M
-            assert plan_migration(c2).num_rounds == M
+            assert plan(c1).schedule.num_rounds == 3 * M
+            assert plan(c2).schedule.num_rounds == M
 
     def test_bipartite_redistribution(self):
         inst = bipartite_instance(6, 3, 120, old_capacity=1, new_capacity=4, seed=1)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         sched.validate(inst)
         assert sched.num_rounds <= lower_bound(inst) + 2
 
     def test_hotspot_density_bound_respected(self):
         inst = hotspot_instance(12, num_hot=2, num_items=150, seed=2)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         lb = lower_bound(inst)
         assert sched.num_rounds >= lb >= inst.delta_prime()
 
@@ -75,7 +75,7 @@ class TestSimulatorPipeline:
     def test_vod_end_to_end_with_trace_replay(self):
         scenario = vod_rebalance_scenario(num_disks=8, num_items=150, seed=4)
         initial = scenario.cluster.layout.copy()
-        sched = plan_migration(scenario.instance)
+        sched = plan(scenario.instance).schedule
         report = MigrationEngine(scenario.cluster).execute(scenario.context, sched)
         trace = MigrationTrace.from_report(report)
         replayed = replay_trace(trace, initial)
@@ -86,13 +86,13 @@ class TestSimulatorPipeline:
         scenario = scale_out_scenario(num_old=6, num_new=3, items_per_old_disk=30, seed=5)
         inst = scenario.instance
 
-        hetero_sched = plan_migration(inst, method="auto")
-        homo_sched = plan_migration(inst, method="homogeneous")
+        hetero_sched = plan(inst, method="auto").schedule
+        homo_sched = plan(inst, method="homogeneous").schedule
         assert hetero_sched.num_rounds <= homo_sched.num_rounds
 
     def test_failure_recovery_pipeline(self):
         scenario = scale_out_scenario(num_old=4, num_new=2, items_per_old_disk=20, seed=6)
-        sched = plan_migration(scenario.instance)
+        sched = plan(scenario.instance).schedule
         engine = MigrationEngine(scenario.cluster, time_model="unit")
         failed = "new1"
         report = engine.execute_with_replan(
@@ -100,7 +100,7 @@ class TestSimulatorPipeline:
             sched,
             fail_after_round=0,
             failed_disk=failed,
-            planner=lambda inst: plan_migration(inst),
+            planner=lambda inst: plan(inst).schedule,
         )
         assert report.replans == 1
         # Nothing may sit on the failed disk afterwards except items it

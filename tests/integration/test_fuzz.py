@@ -9,14 +9,14 @@ from repro.analysis.crossval import (
 )
 from repro.core.errors import ScheduleValidationError
 from repro.core.schedule import MigrationSchedule
-from repro.core.solver import plan_migration
+from repro import plan
 from tests.conftest import random_instance
 
 
 class TestIndependentValidator:
     def test_accepts_real_schedules(self):
         inst = random_instance(8, 40, seed=1)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         independent_validate(inst, sched)
 
     def test_rejects_duplicate(self):
@@ -45,7 +45,7 @@ class TestIndependentValidator:
     def test_agrees_with_primary_validator(self):
         inst = random_instance(9, 60, seed=3)
         for method in ("general", "saia", "greedy"):
-            sched = plan_migration(inst, method=method)
+            sched = plan(inst, method=method).schedule
             sched.validate(inst)          # primary
             independent_validate(inst, sched)  # independent
 

@@ -213,6 +213,18 @@ class TestParallelSolving:
         with pytest.raises(ValueError, match="parallel"):
             plan(multi_component_instance(2, seed=0), parallel="yes")
 
+    def test_invalid_parallel_value_on_single_component(self):
+        """Rejected even when no pool decision is ever needed."""
+        with pytest.raises(ValueError, match="parallel"):
+            plan(random_instance(6, 20, seed=0), parallel="bogus")
+
+    def test_invalid_parallel_value_on_fully_cached_plan(self):
+        inst = multi_component_instance(3, seed=5)
+        cache = PlanCache()
+        plan(inst, cache=cache)
+        with pytest.raises(ValueError, match="parallel"):
+            plan(inst, cache=cache, parallel="bogus")
+
 
 class TestCertification:
     def test_certified_bound_and_optimality(self):

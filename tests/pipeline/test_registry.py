@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.problem import MigrationInstance
-from repro.core.solver import METHODS
 from repro.pipeline.registry import (
+    METHODS,
     _REGISTRY,
     get_solver,
     register_solver,
@@ -26,7 +26,6 @@ class TestCatalog:
             "homogeneous",
             "greedy",
             "even_rounding",
-            "exact",
             "exact_bb",
         )
         assert METHODS == ("auto",) + solver_names()
@@ -41,7 +40,7 @@ class TestCatalog:
         assert spec.auto
 
     def test_baselines_are_not_auto(self):
-        for name in ("saia", "homogeneous", "greedy", "even_rounding", "exact"):
+        for name in ("saia", "homogeneous", "greedy", "even_rounding"):
             assert not get_solver(name).auto
 
     def test_duplicate_registration_raises(self):

@@ -11,7 +11,7 @@ from repro.cluster.disk import Disk
 from repro.cluster.item import DataItem
 from repro.cluster.layout import Layout
 from repro.cluster.system import StorageCluster
-from repro.core.solver import plan_migration
+from repro import plan
 from repro.pipeline import PlanCache
 from repro.runtime import DiskCrash, FaultPlan, MigrationExecutor
 
@@ -43,7 +43,7 @@ def two_component_cluster():
 
 def run_with_crashes(plan_cache):
     cluster, ctx = two_component_cluster()
-    schedule = plan_migration(ctx.instance)
+    schedule = plan(ctx.instance).schedule
     faults = FaultPlan(
         crashes=(
             DiskCrash(disk_id="a1", at_time=1.0),

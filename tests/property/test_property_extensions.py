@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.problem import MigrationInstance
-from repro.core.solver import plan_migration
+import repro
 from repro.extensions.cloning import (
     CloningInstance,
     cloning_lower_bound,
@@ -50,7 +50,7 @@ class TestSpaceProperties:
     @settings(deadline=None, max_examples=60)
     def test_spare_space_plans_always_validate(self, moves, caps, spare):
         inst = instance_from(moves, caps)
-        sched = plan_migration(inst)
+        sched = repro.plan(inst).schedule
         occ = default_occupancy(inst)
         space = spare_space(inst, occ, spare=spare)
         plan = make_space_feasible(inst, sched, occupancy=occ, space=space)
@@ -75,7 +75,7 @@ class TestCompletionTimeProperties:
     @settings(deadline=None, max_examples=60)
     def test_reorder_and_promote_never_hurt(self, moves, caps):
         inst = instance_from(moves, caps)
-        sched = plan_migration(inst)
+        sched = repro.plan(inst).schedule
         base = sum_completion_time(sched)
         reordered = reorder_rounds_by_weight(sched)
         promoted = promote_items(reordered, inst)

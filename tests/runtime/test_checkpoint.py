@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.core.solver import plan_migration
+from repro import plan
 from repro.runtime import (
     CheckpointError,
     DiskCrash,
@@ -39,7 +39,7 @@ def fresh_executor(trace=None):
     return scenario, MigrationExecutor(
         scenario.cluster,
         scenario.context,
-        plan_migration(scenario.instance),
+        plan(scenario.instance).schedule,
         faults=FAULTS,
         seed=EXECUTOR_SEED,
         trace=trace,

@@ -8,7 +8,7 @@ from repro.cluster.events import ItemMigrated, RoundCompleted, RoundStarted
 from repro.cluster.item import DataItem
 from repro.cluster.layout import Layout
 from repro.cluster.system import StorageCluster
-from repro.core.solver import plan_migration
+from repro import plan
 from repro.runtime import FaultPlan, MigrationExecutor, RetryPolicy
 from repro.workloads.scenarios import decommission_scenario, scale_out_scenario
 
@@ -26,7 +26,7 @@ def small_cluster(num_items=6):
 class TestFaultFreeExecution:
     def test_delivers_everything(self):
         cluster, ctx, target = small_cluster()
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         report = MigrationExecutor(cluster, ctx, sched).run()
         assert report.finished and report.fully_delivered
         assert sorted(report.delivered) == sorted(ctx.edge_items.values())
@@ -36,10 +36,10 @@ class TestFaultFreeExecution:
     def test_matches_engine_timings(self):
         """With no faults the executor reproduces the engine's clock."""
         scenario = decommission_scenario(seed=3)
-        sched = plan_migration(scenario.instance)
+        sched = plan(scenario.instance).schedule
         engine_scenario = decommission_scenario(seed=3)
         engine_report = MigrationEngine(engine_scenario.cluster).execute(
-            engine_scenario.context, plan_migration(engine_scenario.instance)
+            engine_scenario.context, plan(engine_scenario.instance).schedule
         )
         report = MigrationExecutor(scenario.cluster, scenario.context, sched).run()
         assert report.total_time == pytest.approx(engine_report.total_time)
@@ -47,13 +47,13 @@ class TestFaultFreeExecution:
 
     def test_unit_time_model(self):
         cluster, ctx, _ = small_cluster()
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         report = MigrationExecutor(cluster, ctx, sched, time_model="unit").run()
         assert report.total_time == pytest.approx(sched.num_rounds)
 
     def test_event_log_compatible_with_engine_consumers(self):
         cluster, ctx, _ = small_cluster()
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         report = MigrationExecutor(cluster, ctx, sched).run()
         assert len(report.log.of_type(ItemMigrated)) == ctx.num_moves
         assert len(report.log.of_type(RoundCompleted)) == report.rounds_executed
@@ -62,7 +62,7 @@ class TestFaultFreeExecution:
 
     def test_telemetry_counters(self):
         cluster, ctx, _ = small_cluster()
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         report = MigrationExecutor(cluster, ctx, sched).run()
         counters = report.telemetry.counters
         assert counters["transfers_attempted"] == ctx.num_moves
@@ -73,7 +73,7 @@ class TestFaultFreeExecution:
 class TestPauseResumeInMemory:
     def test_max_rounds_pauses_and_run_continues(self):
         cluster, ctx, _ = small_cluster(num_items=8)
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         ex = MigrationExecutor(cluster, ctx, sched)
         first = ex.run(max_rounds=1)
         assert not first.finished
@@ -88,7 +88,7 @@ class TestPauseResumeInMemory:
         ex1 = MigrationExecutor(
             uninterrupted.cluster,
             uninterrupted.context,
-            plan_migration(uninterrupted.instance),
+            plan(uninterrupted.instance).schedule,
             faults=FaultPlan(transfer_failure_rate=0.1),
             seed=5,
         )
@@ -98,7 +98,7 @@ class TestPauseResumeInMemory:
         ex2 = MigrationExecutor(
             chunked.cluster,
             chunked.context,
-            plan_migration(chunked.instance),
+            plan(chunked.instance).schedule,
             faults=FaultPlan(transfer_failure_rate=0.1),
             seed=5,
         )
@@ -112,7 +112,7 @@ class TestPauseResumeInMemory:
 class TestTransferFaults:
     def test_faults_are_retried_to_completion(self):
         cluster, ctx, target = small_cluster(num_items=8)
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         ex = MigrationExecutor(
             cluster, ctx, sched,
             faults=FaultPlan(transfer_failure_rate=0.3), seed=13,
@@ -130,7 +130,7 @@ class TestTransferFaults:
         outcomes = []
         for _ in range(2):
             cluster, ctx, _ = small_cluster(num_items=8)
-            sched = plan_migration(ctx.instance)
+            sched = plan(ctx.instance).schedule
             ex = MigrationExecutor(
                 cluster, ctx, sched,
                 faults=FaultPlan(transfer_failure_rate=0.25), seed=21,
@@ -145,7 +145,7 @@ class TestTransferFaults:
         totals = []
         for seed in (1, 2):
             cluster, ctx, _ = small_cluster(num_items=8)
-            sched = plan_migration(ctx.instance)
+            sched = plan(ctx.instance).schedule
             ex = MigrationExecutor(
                 cluster, ctx, sched,
                 faults=FaultPlan(transfer_failure_rate=0.5), seed=seed,
@@ -157,7 +157,7 @@ class TestTransferFaults:
     def test_retries_respect_transfer_constraints(self):
         """Re-injected transfers never overload a round beyond c_v."""
         cluster, ctx, _ = small_cluster(num_items=10)
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         ex = MigrationExecutor(
             cluster, ctx, sched,
             faults=FaultPlan(transfer_failure_rate=0.4), seed=9,
@@ -179,7 +179,7 @@ class TestTransferFaults:
         item = DataItem(item_id="x", size=100.0)
         cluster = StorageCluster(disks=disks, items=[item], layout=Layout({"x": "src"}))
         ctx = cluster.migration_to(Layout({"x": "dst"}))
-        sched = plan_migration(ctx.instance)
+        sched = plan(ctx.instance).schedule
         policy = RetryPolicy(max_retries=1, max_defers=1, transfer_timeout=1.0)
         report = MigrationExecutor(cluster, ctx, sched, policy=policy, seed=0).run()
         assert report.finished
@@ -192,7 +192,7 @@ class TestScenarios:
     @pytest.mark.parametrize("scenario_fn", [decommission_scenario, scale_out_scenario])
     def test_scenarios_complete_under_faults(self, scenario_fn):
         scenario = scenario_fn(seed=4)
-        sched = plan_migration(scenario.instance)
+        sched = plan(scenario.instance).schedule
         ex = MigrationExecutor(
             scenario.cluster, scenario.context, sched,
             faults=FaultPlan(transfer_failure_rate=0.15), seed=4,

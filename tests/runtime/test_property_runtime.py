@@ -16,7 +16,7 @@ from repro.cluster.events import DiskRemoved, ItemMigrated
 from repro.cluster.item import DataItem
 from repro.cluster.layout import Layout
 from repro.cluster.system import StorageCluster
-from repro.core.solver import plan_migration
+from repro import plan
 from repro.runtime import DiskCrash, FaultPlan, MigrationExecutor, NetworkPartition
 
 NUM_DISKS = 4
@@ -79,7 +79,7 @@ class TestConservationUnderFaults:
         self, placements, caps, faults, seed
     ):
         cluster, ctx, target = build(placements, caps)
-        schedule = plan_migration(ctx.instance)
+        schedule = plan(ctx.instance).schedule
         independent_validate(ctx.instance, schedule)
 
         report = MigrationExecutor(
@@ -114,7 +114,7 @@ class TestConservationUnderFaults:
     @settings(deadline=None, max_examples=40)
     def test_fault_free_runs_reach_the_target(self, placements, caps, seed):
         cluster, ctx, target = build(placements, caps)
-        schedule = plan_migration(ctx.instance)
+        schedule = plan(ctx.instance).schedule
         report = MigrationExecutor(cluster, ctx, schedule, seed=seed).run()
         assert report.fully_delivered
         for item in target.items:
@@ -127,7 +127,7 @@ class TestConservationUnderFaults:
         for _ in range(2):
             cluster, ctx, _target = build(placements, caps)
             ex = MigrationExecutor(
-                cluster, ctx, plan_migration(ctx.instance), faults=faults, seed=seed
+                cluster, ctx, plan(ctx.instance).schedule, faults=faults, seed=seed
             )
             ex.run(max_rounds=500)
             results.append((ex.telemetry.totals(), cluster.layout.as_dict(), ex.now))

@@ -3,7 +3,7 @@
 import json
 
 from repro.analysis.metrics import load_runtime_trace, summarize_runtime_trace
-from repro.core.solver import plan_migration
+from repro import plan
 from repro.runtime import (
     DiskCrash,
     FaultPlan,
@@ -70,7 +70,7 @@ class TestTraceAnalysisPipeline:
             ex = MigrationExecutor(
                 scenario.cluster,
                 scenario.context,
-                plan_migration(scenario.instance),
+                plan(scenario.instance).schedule,
                 faults=FaultPlan(
                     transfer_failure_rate=0.15, crashes=(DiskCrash("new-2", 5.0),)
                 ),
@@ -107,7 +107,7 @@ class TestTraceAnalysisPipeline:
             ex = MigrationExecutor(
                 scenario.cluster,
                 scenario.context,
-                plan_migration(scenario.instance),
+                plan(scenario.instance).schedule,
                 faults=FaultPlan(transfer_failure_rate=0.2),
                 seed=3,
                 trace=trace,
@@ -131,7 +131,7 @@ class TestTraceAnalysisPipeline:
         ex = MigrationExecutor(
             scenario.cluster,
             scenario.context,
-            plan_migration(scenario.instance),
+            plan(scenario.instance).schedule,
             faults=faults,
             seed=7,
             trace=trace,

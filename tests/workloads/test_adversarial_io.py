@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.lower_bounds import lb1, lb2, lower_bound
 from repro.core.problem import MigrationInstance
-from repro.core.solver import plan_migration
+from repro import plan
 from repro.workloads.adversarial import (
     capacity_cliff,
     odd_cycle_with_helpers,
@@ -28,7 +28,7 @@ class TestShannonTriangle:
         inst = shannon_triangle(bundle=4, capacity=1)
         assert lb1(inst) == 8       # Δ' = 2k
         assert lb2(inst) == 12      # Γ' = 3k
-        assert plan_migration(inst).num_rounds == 12
+        assert plan(inst).schedule.num_rounds == 12
 
     def test_invalid_bundle(self):
         with pytest.raises(ValueError):
@@ -57,7 +57,7 @@ class TestPetersen:
         assert inst.num_items == 15
         assert inst.graph.max_degree() == 3
         assert lower_bound(inst) == 3
-        sched = plan_migration(inst, method="general")
+        sched = plan(inst, method="general").schedule
         sched.validate(inst)
         # χ'(Petersen) = 4: the scheduler must exceed LB but never 5.
         assert sched.num_rounds == 4
@@ -76,7 +76,7 @@ class TestCapacityCliff:
         inst = capacity_cliff(num_small=6, items_each=2, big_capacity=4)
         # Hub degree 12, c=4 -> 3; leaves degree 2, c=1 -> 2.
         assert lb1(inst) == 3
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         assert sched.num_rounds == lower_bound(inst)
 
 
@@ -105,7 +105,7 @@ class TestInstanceIO:
     def test_roundtrip_preserves_schedule_length(self):
         inst = random_instance(8, 40, seed=9)
         back = instance_from_json(instance_to_json(inst))
-        assert plan_migration(inst).num_rounds == plan_migration(back).num_rounds
+        assert plan(inst).schedule.num_rounds == plan(back).schedule.num_rounds
 
     def test_file_roundtrip(self, tmp_path):
         inst = random_instance(5, 12, seed=1)
@@ -131,7 +131,7 @@ class TestPlanIO:
     @pytest.mark.parametrize("seed", range(4))
     def test_plan_roundtrip(self, seed):
         inst = random_instance(7, 30, capacity_choices=(1, 2, 4), seed=seed)
-        sched = plan_migration(inst)
+        sched = plan(inst).schedule
         back_inst, back_sched = plan_from_json(plan_to_json(inst, sched))
         assert back_sched.num_rounds == sched.num_rounds
         assert back_sched.method == sched.method
@@ -170,6 +170,6 @@ class TestMergeInstances:
         a = random_instance(6, 20, capacity_choices=(2,), seed=1)
         b = random_instance(6, 20, capacity_choices=(2,), seed=1)  # same caps
         merged = merge_instances(a, b)
-        sched = plan_migration(merged)
+        sched = plan(merged).schedule
         sched.validate(merged)
         assert merged.num_items == 40
