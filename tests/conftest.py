@@ -2,13 +2,33 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
-from typing import Dict, List, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import pytest
 
 from repro.core.problem import MigrationInstance
 from repro.graphs.multigraph import Multigraph
+from repro.pipeline import registry
+
+
+@contextmanager
+def reference_kernels() -> Iterator[None]:
+    """Register every solver without its array kernel while inside.
+
+    ``backend_solver`` then runs ``spec.solve`` — the object reference
+    kernels — so a plan made inside is the reference plan.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        for name, spec in list(registry._REGISTRY.items()):
+            patch.setitem(
+                registry._REGISTRY,
+                name,
+                dataclasses.replace(spec, solve_compact=None),
+            )
+        yield
 
 
 def random_multigraph(
