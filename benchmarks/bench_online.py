@@ -10,11 +10,11 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.analysis.tables import Table
-from repro.extensions.online import run_online
+from repro.extensions.online import arrivals_to_deltas, run_online
 
 
 def bursty_arrivals(bursts: int, burst_size: int, gap: int, seed: int = 0):
-    """Deterministic bursty pattern over a small disk pool."""
+    """Deterministic bursty pattern over a small disk pool, as a delta stream."""
     import random
 
     rng = random.Random(seed)
@@ -27,7 +27,7 @@ def bursty_arrivals(bursts: int, burst_size: int, gap: int, seed: int = 0):
             batch.append((u, v))
         arrivals[b * gap] = batch
     caps = {d: rng.choice([1, 2, 4]) for d in disks}
-    return arrivals, caps
+    return arrivals_to_deltas(arrivals), caps
 
 
 def test_onl_policy_comparison(benchmark):
@@ -51,7 +51,7 @@ def test_onl_policy_comparison(benchmark):
 
 def test_onl_replan_beats_fifo_on_cross_batch_slack(benchmark):
     """A tiny batch behind a big unrelated one: replanning interleaves."""
-    arrivals = {0: [("a", "b")] * 10, 1: [("c", "d")]}
+    arrivals = arrivals_to_deltas({0: [("a", "b")] * 10, 1: [("c", "d")]})
     caps = {"a": 1, "b": 1, "c": 1, "d": 1}
     replan = run_online(arrivals, caps, policy="replan")
     fifo = run_online(arrivals, caps, policy="fifo")

@@ -11,7 +11,7 @@ Run:  python examples/online_batches.py
 
 import random
 
-from repro.extensions.online import run_online
+from repro.extensions.online import arrivals_to_deltas, run_online
 
 
 def main() -> None:
@@ -29,8 +29,9 @@ def main() -> None:
         print(f"burst {burst}: {len(batch)} moves arrive at round {round_no}")
 
     print(f"\ncapacities: { {d: capacities[d] for d in sorted(disks)} }\n")
+    stream = arrivals_to_deltas(arrivals)
     for policy in ("replan", "fifo"):
-        report = run_online(arrivals, capacities, policy=policy)
+        report = run_online(stream, capacities, policy=policy)
         print(f"policy={policy:7s} makespan={report.makespan:3d} rounds  "
               f"mean response={report.mean_response:5.2f}  "
               f"max response={report.max_response:3d}  "
