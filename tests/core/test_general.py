@@ -1,12 +1,18 @@
 """Tests for the Section V general-case approximation algorithm."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.core.exact import exact_optimum_rounds
-from repro.core.general import GeneralSolverStats, general_schedule
+from repro.core.general import GeneralSolverStats, _phase1, _phase1_compact, general_schedule
 from repro.core.lower_bounds import lower_bound
 from repro.core.problem import MigrationInstance
+from repro.core.recolor import ArrayColoringState, ColoringState
+from repro.graphs.array_backend import lower_instance
 from repro.graphs.multigraph import Multigraph
+from repro.workloads import generators
 from tests.conftest import random_instance
 
 
@@ -100,3 +106,45 @@ class TestFigure2:
         sched = general_schedule(inst)
         sched.validate(inst)
         assert sched.num_rounds == 3 * M
+
+
+def _phase1_from_low_palette(key_space, instance, solver_seed):
+    """Run Phase 1 from ``lower_bound - 3`` colors in one key space.
+
+    Returns the coloring as ``(edge id, color)`` pairs in assignment
+    order, the residual edge ids (or None) and the stats.
+    """
+    lb = lower_bound(instance)
+    q = lb - 3
+    epsilon = 1.0 / math.sqrt(lb)
+    stats = GeneralSolverStats()
+    if key_space == "label":
+        state = ColoringState(instance.graph, instance.capacities, q, seed=solver_seed)
+        residual = _phase1(instance, state, epsilon, stats)
+        residual_ids = None if residual is None else residual.edge_ids()
+        coloring = list(state.color.items())
+    else:
+        ci = lower_instance(instance)
+        state = ArrayColoringState(ci.graph, ci.capacities, q, seed=solver_seed)
+        residual_ids = _phase1_compact(ci, state, epsilon, stats)
+        coloring = [(ci.graph.edge_ids[e], c) for e, c in state.color.items()]
+    state.validate()
+    return coloring, residual_ids, stats
+
+
+class TestPaletteGrowth:
+    """Phase 1 below the lower bound must grow the palette, with witnesses."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_growth_is_witnessed_and_identical_in_both_key_spaces(self, seed):
+        instance = generators.random_instance(
+            10, 80, capacities={1: 0.5, 3: 0.5}, seed=seed
+        )
+        label = _phase1_from_low_palette("label", instance, solver_seed=0)
+        index = _phase1_from_low_palette("index", instance, solver_seed=0)
+        assert label[0] == index[0]
+        assert label[1] == index[1]
+        assert dataclasses.asdict(label[2]) == dataclasses.asdict(index[2])
+        stats = label[2]
+        assert stats.palette_growths > 0
+        assert stats.witnessed_growths == stats.palette_growths
