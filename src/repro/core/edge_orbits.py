@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.recolor import ColoringState
-from repro.graphs.multigraph import EdgeId, Node
+from repro.graphs.multigraph import EdgeId, Multigraph, Node
 
 
 @dataclass
@@ -43,15 +43,17 @@ class EdgeOrbit:
     used_colors: Set[int] = field(default_factory=set)
     growth_steps: int = 0
 
-    def free_colors(self, state: ColoringState) -> Set[int]:
+    def free_colors(self, state: ColoringState[Node]) -> Set[int]:
         """Colors no orbit edge currently wears."""
         worn = {state.color[eid] for eid in self.edges if eid in state.color}
         return set(range(state.q)) - worn
 
-    def has_lean_edge(self, state: ColoringState) -> bool:
+    def has_lean_edge(self, state: ColoringState[Node]) -> bool:
         """Weak orbit test: a colored orbit edge whose parallels are
         all colored (Definition 5.5)."""
         graph = state.graph
+        # Orbits are traced on label-keyed states, over a Multigraph.
+        assert isinstance(graph, Multigraph)
         for eid in self.edges:
             if eid not in state.color:
                 continue
@@ -73,7 +75,7 @@ class GrowthOutcome:
     added_vertices: Set[Node] = field(default_factory=set)
 
 
-def seed_orbits(state: ColoringState) -> List[EdgeOrbit]:
+def seed_orbits(state: ColoringState[Node]) -> List[EdgeOrbit]:
     """One orbit per group of parallel uncolored (bad) edges."""
     graph = state.graph
     groups: Dict[Tuple[Node, Node], List[EdgeId]] = {}
@@ -94,7 +96,11 @@ def seed_orbits(state: ColoringState) -> List[EdgeOrbit]:
 
 
 def trace_ab_path(
-    state: ColoringState, start: Node, a: int, b: int, max_len: Optional[int] = None
+    state: ColoringState[Node],
+    start: Node,
+    a: int,
+    b: int,
+    max_len: Optional[int] = None,
 ) -> List[EdgeId]:
     """Trace (without flipping) the alternating ab-path from ``start``.
 
@@ -126,7 +132,7 @@ def trace_ab_path(
 
 
 def grow_orbit(
-    state: ColoringState, orbit: EdgeOrbit, max_attempts: int = 64
+    state: ColoringState[Node], orbit: EdgeOrbit, max_attempts: int = 64
 ) -> GrowthOutcome:
     """One growth step (Lemma 5.4): extend, or report a witness.
 
@@ -186,7 +192,7 @@ def grow_orbit(
     return GrowthOutcome("exhausted", orbit)
 
 
-def resolve_weak_orbit(state: ColoringState, orbit: EdgeOrbit) -> bool:
+def resolve_weak_orbit(state: ColoringState[Node], orbit: EdgeOrbit) -> bool:
     """Lemma 5.3's move on a weak orbit, via the flip engine.
 
     Attempts to color one of the orbit's uncolored edges (possibly
@@ -209,7 +215,9 @@ class OrbitTrace:
     resolved: bool
 
 
-def explore_orbits(state: ColoringState, max_growth: int = 100) -> List[OrbitTrace]:
+def explore_orbits(
+    state: ColoringState[Node], max_growth: int = 100
+) -> List[OrbitTrace]:
     """Grow every seeded orbit to its conclusion; return trajectories."""
     traces: List[OrbitTrace] = []
     for orbit in seed_orbits(state):

@@ -26,28 +26,30 @@ edges can meet at ``v``, one per copy, so constraints hold (Lemma 5.8).
 The returned schedule is always validated; the number of colors is the
 quantity the theorem bounds (``OPT + O(√OPT)``), and the benchmark
 harness measures it against ``LB + 2⌈√LB⌉`` on every run.
+
+One driver serves both key spaces of :mod:`repro.core.recolor`:
+:func:`general_schedule` (the reference) runs Phase 1 on a label-keyed
+:class:`ColoringState`, :func:`general_schedule_compact` (the
+production kernel) on an index-keyed :class:`ArrayColoringState` over
+the lowered CSR graph.  They share one body and differ only in how
+they build the state and lift its coloring back to edge ids.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.lower_bounds import lower_bound
 from repro.core.orbits import (
-    OrbitReport,
     bad_edge_groups,
-    compact_bad_edge_groups,
-    compact_is_delta_witness,
-    compact_is_gamma_witness,
-    compact_uncolored_components,
     is_delta_witness,
     is_gamma_witness,
     uncolored_components,
 )
 from repro.core.problem import MigrationInstance
-from repro.core.recolor import ArrayColoringState, ColoringState
+from repro.core.recolor import ArrayColoringState, ColoringState, N
 from repro.core.schedule import MigrationSchedule
 from repro.graphs.array_backend import CompactInstance, lift_coloring
 from repro.graphs.coloring.vizing import vizing_coloring
@@ -84,6 +86,9 @@ def general_schedule(
 ) -> MigrationSchedule:
     """Schedule an arbitrary-constraint instance (Theorem 5.1).
 
+    The reference entry point: Phase 1 runs on a label-keyed
+    :class:`ColoringState` over ``instance.graph``.
+
     Args:
         instance: the migration instance.
         seed: RNG seed for sweep orders and flip tie-breaking.
@@ -91,6 +96,51 @@ def general_schedule(
 
     Returns:
         A validated :class:`MigrationSchedule`.
+    """
+    return _general(
+        instance,
+        lambda q: ColoringState(instance.graph, instance.capacities, q, seed=seed),
+        dict,
+        stats,
+    )
+
+
+def general_schedule_compact(
+    ci: CompactInstance,
+    seed: int = 0,
+    stats: Optional[GeneralSolverStats] = None,
+) -> MigrationSchedule:
+    """:func:`general_schedule` on a lowered instance (byte-identical).
+
+    The production kernel: Phase 1 runs the same engine on an
+    index-keyed :class:`ArrayColoringState` over ``ci.graph``, whose
+    ordering hooks reproduce the label-keyed sweep, orbit and flip
+    orders, so the lifted coloring — assignment order included — and
+    the stats equal :func:`general_schedule`'s.
+    """
+    return _general(
+        ci.source,
+        lambda q: ArrayColoringState(ci.graph, ci.capacities, q, seed=seed),
+        lambda color: lift_coloring(ci.graph, color),
+        stats,
+    )
+
+
+def _general(
+    instance: MigrationInstance,
+    new_state: Callable[[int], ColoringState[N]],
+    lift: Callable[[Dict[int, int]], Dict[EdgeId, int]],
+    stats: Optional[GeneralSolverStats],
+) -> MigrationSchedule:
+    """Both entry points' body.
+
+    ``new_state(q)`` builds the Phase 1 state over ``q`` colors and
+    ``lift`` maps its edge-keyed coloring to edge ids, keeping the
+    assignment order so ``from_coloring`` fills rounds alike.
+
+    The cold paths — the lower bound, the Phase 2 residual Vizing pass
+    (a few dozen edges by Corollary 5.1) and the final validation — run
+    on ``instance`` in either key space.
     """
     stats = stats if stats is not None else GeneralSolverStats()
     if instance.num_items == 0:
@@ -102,12 +152,13 @@ def general_schedule(
     q0 = max(lb, 1)
     stats.initial_colors = q0
 
-    state = ColoringState(instance.graph, instance.capacities, q0, seed=seed)
-    residual = _phase1(instance, state, epsilon, stats)
+    state = new_state(q0)
+    residual_ids = _phase1(state, instance.delta_prime(), epsilon, stats)
     stats.phase1_colors = state.q
 
-    coloring: Dict[EdgeId, int] = dict(state.color)
-    if residual is not None:
+    coloring = lift(state.color)
+    if residual_ids is not None:
+        residual = instance.graph.edge_subgraph(residual_ids)
         phase2 = _phase2_color_residual(instance, residual)
         stats.phase2_edges = residual.num_edges
         stats.phase2_colors = (max(phase2.values()) + 1) if phase2 else 0
@@ -119,74 +170,29 @@ def general_schedule(
     return schedule
 
 
-def general_schedule_compact(
-    ci: CompactInstance,
-    seed: int = 0,
-    stats: Optional[GeneralSolverStats] = None,
-) -> MigrationSchedule:
-    """Array-backend :func:`general_schedule` (byte-identical).
-
-    Phase 1 runs entirely on :class:`ArrayColoringState` — the hot
-    sweep/flip loop touches only dense int arrays and small dicts of
-    ints.  The cold paths deliberately stay on the reference engine:
-    the lower bound, the Phase 2 residual Vizing pass (a few dozen
-    edges by Corollary 5.1), and the final validation all run against
-    ``ci.source``.  The lifted Phase 1 coloring dict preserves the
-    assignment history order, so ``from_coloring`` sees the same key
-    sequence as the object engine and the schedules match byte for
-    byte.
-    """
-    stats = stats if stats is not None else GeneralSolverStats()
-    if ci.graph.num_edges == 0:
-        return MigrationSchedule([], method="general")
-
-    lb = lower_bound(ci.source)
-    stats.lower_bound = lb
-    epsilon = 1.0 / math.sqrt(lb) if lb > 0 else 1.0
-    q0 = max(lb, 1)
-    stats.initial_colors = q0
-
-    state = ArrayColoringState(ci.graph, ci.capacities, q0, seed=seed)
-    residual_ids = _phase1_compact(ci, state, epsilon, stats)
-    stats.phase1_colors = state.q
-
-    coloring: Dict[EdgeId, int] = lift_coloring(ci.graph, state.color)
-    if residual_ids is not None:
-        residual = ci.source.graph.edge_subgraph(residual_ids)
-        phase2 = _phase2_color_residual(ci.source, residual)
-        stats.phase2_edges = residual.num_edges
-        stats.phase2_colors = (max(phase2.values()) + 1) if phase2 else 0
-        for eid, c in phase2.items():
-            coloring[eid] = state.q + c
-
-    schedule = MigrationSchedule.from_coloring(coloring, method="general")
-    schedule.validate(ci.source)
-    return schedule
-
-
 # ----------------------------------------------------------------------
 # Phase 1
 # ----------------------------------------------------------------------
 
 def _phase1(
-    instance: MigrationInstance,
-    state: ColoringState,
+    state: ColoringState[N],
+    delta_prime: int,
     epsilon: float,
     stats: GeneralSolverStats,
-) -> Optional[Multigraph]:
+) -> Optional[List[EdgeId]]:
     """Color edges until the residue is a small simple graph (or empty).
 
-    Returns the residual graph ``G₀`` for Phase 2, or None if Phase 1
-    colored everything.
+    Returns the ascending edge ids of the residual graph ``G₀`` for
+    Phase 2, or None if Phase 1 colored everything.
     """
     # Hard orbits have at most (q+2)/(q-2Δ'') ≈ 1 + 1/ε nodes
     # (Lemma 5.7 / Corollary 5.1); allow slack of one node.
     component_cap = max(4, math.ceil(2 + 1.0 / epsilon))
     # Safety net: with 2Δ' - 1 colors even first-fit cannot stall, so
     # palette growth is finite regardless of flip-search luck.
-    hard_palette_cap = max(2 * instance.delta_prime() - 1, state.q)
+    hard_palette_cap = max(2 * delta_prime - 1, state.q)
 
-    order = sorted(state.uncolored)
+    order = state.edge_order(state.uncolored)
     while state.uncolored:
         stats.sweeps += 1
         progress = False
@@ -196,7 +202,7 @@ def _phase1(
             stats.flips_attempted += 1
             if state.try_color_edge(eid):
                 progress = True
-        order = sorted(state.uncolored)
+        order = state.edge_order(state.uncolored)
         if not state.uncolored:
             return None
         if progress:
@@ -212,7 +218,7 @@ def _phase1(
             # the residual graph's edge enumeration order (which feeds
             # Phase 2's round-robin node splitting) is a function of
             # the uncolored id *set*, not of set-iteration order.
-            return instance.graph.edge_subgraph(sorted(state.uncolored))
+            return [state.edge_id(e) for e in order]
 
         # Otherwise the stall plays the role of a witness: grow the
         # palette (Lemma 5.4 step 3b).  Record whether a formal
@@ -224,59 +230,6 @@ def _phase1(
         if state.q > hard_palette_cap:
             # Unreachable in theory (first-fit succeeds below the cap);
             # loud guard instead of a silent spin.
-            raise AssertionError(
-                f"palette grew past the 2Δ'-1 safety cap ({hard_palette_cap})"
-            )
-    return None
-
-
-def _phase1_compact(
-    ci: CompactInstance,
-    state: ArrayColoringState,
-    epsilon: float,
-    stats: GeneralSolverStats,
-) -> Optional[List[EdgeId]]:
-    """Array mirror of :func:`_phase1`.
-
-    Returns the sorted edge *ids* of the residual for Phase 2 (the
-    object engine's ``sorted(state.uncolored)`` argument to
-    ``edge_subgraph``), or None if Phase 1 colored everything.
-    """
-    component_cap = max(4, math.ceil(2 + 1.0 / epsilon))
-    hard_palette_cap = max(2 * ci.delta_prime() - 1, state.q)
-
-    order = state.uncolored_in_id_order()
-    while state.uncolored:
-        stats.sweeps += 1
-        progress = False
-        for e in list(order):
-            if e not in state.uncolored:
-                continue
-            stats.flips_attempted += 1
-            if state.try_color_edge(e):
-                progress = True
-        order = state.uncolored_in_id_order()
-        if not state.uncolored:
-            return None
-        if progress:
-            continue
-
-        reports = compact_uncolored_components(state)
-        bad = compact_bad_edge_groups(state)
-        all_hard = all(r.kind == "hard" for r in reports)
-        small = all(len(r.nodes) <= component_cap for r in reports)
-        if all_hard and not bad and small:
-            edge_ids = ci.graph.edge_ids
-            return sorted(edge_ids[e] for e in state.uncolored)
-
-        if any(
-            compact_is_delta_witness(state, r) or compact_is_gamma_witness(state, r)
-            for r in reports
-        ):
-            stats.witnessed_growths += 1
-        state.add_color()
-        stats.palette_growths += 1
-        if state.q > hard_palette_cap:
             raise AssertionError(
                 f"palette grew past the 2Δ'-1 safety cap ({hard_palette_cap})"
             )

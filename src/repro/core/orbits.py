@@ -18,33 +18,38 @@ subgraphs whose structure dictates what progress is possible:
 
 This module provides pure *detection* (no mutation); the moves
 themselves live in :mod:`repro.core.recolor` and the driving loop in
-:mod:`repro.core.general`.
+:mod:`repro.core.general`.  Every function serves both key spaces of
+:class:`~repro.core.recolor.ColoringState`: reports carry the state's
+node keys in ``nodes`` and its edge keys, in edge-id order, in
+``edges``, and every scan follows the state's orderings
+(:meth:`~repro.core.recolor.ColoringState.edge_order` for edges,
+:meth:`~repro.core.recolor.ColoringState.node_order` for nodes and
+parallel-pair keys).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Generic, List, Optional, Set, Tuple
 
-from repro.core.recolor import ArrayColoringState, ColoringState
-from repro.graphs.multigraph import EdgeId, Node
+from repro.core.recolor import ColoringState, N
 
 
 @dataclass
-class OrbitReport:
+class OrbitReport(Generic[N]):
     """Classification of one uncolored component."""
 
-    nodes: Set[Node]
-    edges: List[EdgeId]
+    nodes: Set[N]
+    edges: List[int]
     kind: str  # "balancing" | "color" | "hard"
     # For balancing orbits: a (node, strongly missing color) pair.
-    strong_node: Optional[Tuple[Node, int]] = None
+    strong_node: Optional[Tuple[N, int]] = None
     # For color orbits: (node_a, node_b, jointly lightly missing color).
-    light_pair: Optional[Tuple[Node, Node, int]] = None
+    light_pair: Optional[Tuple[N, N, int]] = None
     has_bad_edges: bool = False
 
 
-def uncolored_components(state: ColoringState) -> List[OrbitReport]:
+def uncolored_components(state: ColoringState[N]) -> List[OrbitReport[N]]:
     """Group uncolored edges into connected components and classify.
 
     Components are connected via uncolored edges only, matching the
@@ -52,19 +57,19 @@ def uncolored_components(state: ColoringState) -> List[OrbitReport]:
     """
     graph = state.graph
     # Adjacency restricted to uncolored edges.
-    adj: Dict[Node, List[Tuple[EdgeId, Node]]] = {}
-    for eid in sorted(state.uncolored):
+    adj: Dict[N, List[Tuple[int, N]]] = {}
+    for eid in state.edge_order(state.uncolored):
         u, v = graph.endpoints(eid)
         adj.setdefault(u, []).append((eid, v))
         adj.setdefault(v, []).append((eid, u))
 
-    seen: Set[Node] = set()
-    reports: List[OrbitReport] = []
+    seen: Set[N] = set()
+    reports: List[OrbitReport[N]] = []
     for start in adj:
         if start in seen:
             continue
-        nodes: Set[Node] = {start}
-        edges: Set[EdgeId] = set()
+        nodes: Set[N] = {start}
+        edges: Set[int] = set()
         stack = [start]
         seen.add(start)
         while stack:
@@ -75,11 +80,13 @@ def uncolored_components(state: ColoringState) -> List[OrbitReport]:
                     seen.add(y)
                     nodes.add(y)
                     stack.append(y)
-        reports.append(_classify(state, nodes, sorted(edges)))
+        reports.append(_classify(state, nodes, state.edge_order(edges)))
     return reports
 
 
-def _classify(state: ColoringState, nodes: Set[Node], edges: List[EdgeId]) -> OrbitReport:
+def _classify(
+    state: ColoringState[N], nodes: Set[N], edges: List[int]
+) -> OrbitReport[N]:
     strong = find_strongly_missing(state, nodes)
     if strong is not None:
         return OrbitReport(
@@ -96,10 +103,10 @@ def _classify(state: ColoringState, nodes: Set[Node], edges: List[EdgeId]) -> Or
 
 
 def find_strongly_missing(
-    state: ColoringState, nodes: Set[Node]
-) -> Optional[Tuple[Node, int]]:
+    state: ColoringState[N], nodes: Set[N]
+) -> Optional[Tuple[N, int]]:
     """A (node, color) with the color strongly missing, if any."""
-    for v in sorted(nodes, key=repr):
+    for v in state.node_order(nodes):
         for c in range(state.q):
             if state.is_strongly_missing(v, c):
                 return (v, c)
@@ -107,11 +114,11 @@ def find_strongly_missing(
 
 
 def find_shared_lightly_missing(
-    state: ColoringState, nodes: Set[Node]
-) -> Optional[Tuple[Node, Node, int]]:
+    state: ColoringState[N], nodes: Set[N]
+) -> Optional[Tuple[N, N, int]]:
     """Two nodes lightly missing the same color, if any."""
-    owner: Dict[int, Node] = {}
-    for v in sorted(nodes, key=repr):
+    owner: Dict[int, N] = {}
+    for v in state.node_order(nodes):
         for c in range(state.q):
             if state.is_lightly_missing(v, c):
                 if c in owner and owner[c] != v:
@@ -120,24 +127,26 @@ def find_shared_lightly_missing(
     return None
 
 
-def _has_bad_edges(state: ColoringState, edges: List[EdgeId]) -> bool:
-    pairs: Set[Tuple[Node, Node]] = set()
+def _pair_key(state: ColoringState[N], eid: int) -> Tuple[N, ...]:
+    """Endpoints of ``eid`` in node order: equal for parallel edges."""
+    return tuple(state.node_order(state.graph.endpoints(eid)))
+
+
+def _has_bad_edges(state: ColoringState[N], edges: List[int]) -> bool:
+    pairs: Set[Tuple[N, ...]] = set()
     for eid in edges:
-        u, v = state.graph.endpoints(eid)
-        key = (u, v) if repr(u) <= repr(v) else (v, u)
+        key = _pair_key(state, eid)
         if key in pairs:
             return True
         pairs.add(key)
     return False
 
 
-def bad_edge_groups(state: ColoringState) -> List[List[EdgeId]]:
+def bad_edge_groups(state: ColoringState[N]) -> List[List[int]]:
     """Groups of parallel uncolored edges (Definition 5.5's bad edges)."""
-    groups: Dict[Tuple[Node, Node], List[EdgeId]] = {}
-    for eid in sorted(state.uncolored):
-        u, v = state.graph.endpoints(eid)
-        key = (u, v) if repr(u) <= repr(v) else (v, u)
-        groups.setdefault(key, []).append(eid)
+    groups: Dict[Tuple[N, ...], List[int]] = {}
+    for eid in state.edge_order(state.uncolored):
+        groups.setdefault(_pair_key(state, eid), []).append(eid)
     return [g for g in groups.values() if len(g) > 1]
 
 
@@ -146,11 +155,12 @@ def bad_edge_groups(state: ColoringState) -> List[List[EdgeId]]:
 # palette growth and by the benchmarks to report why q increased.
 # ----------------------------------------------------------------------
 
-def free_colors_of_orbit(state: ColoringState, report: OrbitReport) -> Set[int]:
+def free_colors_of_orbit(state: ColoringState[N], report: OrbitReport[N]) -> Set[int]:
     """Colors not used by any colored edge inside the orbit."""
     used: Set[int] = set()
     graph = state.graph
-    for v in report.nodes:
+    # Set iteration below: the union being built is order-independent.
+    for v in report.nodes:  # repro: allow-set-iter
         for c, eids in state.edges_at[v].items():
             for eid in eids:
                 other = graph.other_endpoint(eid, v)
@@ -159,16 +169,16 @@ def free_colors_of_orbit(state: ColoringState, report: OrbitReport) -> Set[int]:
     return set(range(state.q)) - used
 
 
-def is_delta_witness(state: ColoringState, report: OrbitReport) -> bool:
+def is_delta_witness(state: ColoringState[N], report: OrbitReport[N]) -> bool:
     """Δ-witness: some node of the orbit misses no free color."""
     free = free_colors_of_orbit(state, report)
-    for v in report.nodes:
+    for v in report.nodes:  # repro: allow-set-iter
         if not any(state.is_missing(v, c) for c in free):
             return True
     return False
 
 
-def is_gamma_witness(state: ColoringState, report: OrbitReport) -> bool:
+def is_gamma_witness(state: ColoringState[N], report: OrbitReport[N]) -> bool:
     """Γ-witness: every free color of the orbit is full.
 
     A color is *full* in an orbit ``O`` when at most one vertex of
@@ -181,164 +191,6 @@ def is_gamma_witness(state: ColoringState, report: OrbitReport) -> bool:
         return True
     cap_sum = sum(state.cap[v] for v in report.nodes)
     # All colors are checked and the boolean verdict is order-independent.
-    for c in free:  # repro: allow-set-iter
-        used = sum(state.count(v, c) for v in report.nodes)
-        if used < cap_sum - 1:
-            return False
-    return True
-
-
-# ----------------------------------------------------------------------
-# Array backend (byte-identical mirrors over ArrayColoringState).
-# Reports carry node *indices* in ``nodes`` and edge *indices* (sorted
-# by edge id, matching the object reports' id-sorted edge lists) in
-# ``edges``; the general driver only consumes ``kind`` and the node
-# count, which agree with the object reports by construction.
-# ----------------------------------------------------------------------
-
-def compact_uncolored_components(state: ArrayColoringState) -> List[OrbitReport]:
-    """Array mirror of :func:`uncolored_components`."""
-    graph = state.graph
-    edge_u, edge_v = graph.edge_u, graph.edge_v
-    adj: Dict[int, List[Tuple[int, int]]] = {}
-    for e in state.uncolored_in_id_order():
-        u, v = edge_u[e], edge_v[e]
-        adj.setdefault(u, []).append((e, v))
-        adj.setdefault(v, []).append((e, u))
-
-    seen: Set[int] = set()
-    reports: List[OrbitReport] = []
-    for start in adj:
-        if start in seen:
-            continue
-        nodes: Set[int] = {start}
-        edges: Set[int] = set()
-        stack = [start]
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            for e, y in adj.get(x, ()):  # noqa: B023 - local structure
-                edges.add(e)
-                if y not in seen:
-                    seen.add(y)
-                    nodes.add(y)
-                    stack.append(y)
-        reports.append(
-            _compact_classify(
-                state, nodes, sorted(edges, key=graph.edge_ids.__getitem__)
-            )
-        )
-    return reports
-
-
-def _compact_classify(
-    state: ArrayColoringState, nodes: Set[int], edges: List[int]
-) -> OrbitReport:
-    strong = compact_find_strongly_missing(state, nodes)
-    if strong is not None:
-        return OrbitReport(
-            nodes, edges, "balancing", strong_node=strong,
-            has_bad_edges=_compact_has_bad_edges(state, edges),
-        )
-    pair = compact_find_shared_lightly_missing(state, nodes)
-    if pair is not None:
-        return OrbitReport(
-            nodes, edges, "color", light_pair=pair,
-            has_bad_edges=_compact_has_bad_edges(state, edges),
-        )
-    return OrbitReport(
-        nodes, edges, "hard", has_bad_edges=_compact_has_bad_edges(state, edges)
-    )
-
-
-def compact_find_strongly_missing(
-    state: ArrayColoringState, nodes: Set[int]
-) -> Optional[Tuple[int, int]]:
-    """Array mirror of :func:`find_strongly_missing`.
-
-    ``sorted(nodes, key=repr)`` becomes a sort by cached repr rank —
-    the same order whenever node reprs are unique (the fingerprint
-    precondition).
-    """
-    rank = state.graph.repr_rank()
-    for v in sorted(nodes, key=rank.__getitem__):
-        for c in range(state.q):
-            if state.is_strongly_missing(v, c):
-                return (v, c)
-    return None
-
-
-def compact_find_shared_lightly_missing(
-    state: ArrayColoringState, nodes: Set[int]
-) -> Optional[Tuple[int, int, int]]:
-    """Array mirror of :func:`find_shared_lightly_missing`."""
-    rank = state.graph.repr_rank()
-    owner: Dict[int, int] = {}
-    for v in sorted(nodes, key=rank.__getitem__):
-        for c in range(state.q):
-            if state.is_lightly_missing(v, c):
-                if c in owner and owner[c] != v:
-                    return (owner[c], v, c)
-                owner.setdefault(c, v)
-    return None
-
-
-def _compact_has_bad_edges(state: ArrayColoringState, edges: List[int]) -> bool:
-    graph = state.graph
-    rank = graph.repr_rank()
-    pairs: Set[Tuple[int, int]] = set()
-    for e in edges:
-        u, v = graph.edge_u[e], graph.edge_v[e]
-        key = (u, v) if rank[u] <= rank[v] else (v, u)
-        if key in pairs:
-            return True
-        pairs.add(key)
-    return False
-
-
-def compact_bad_edge_groups(state: ArrayColoringState) -> List[List[int]]:
-    """Array mirror of :func:`bad_edge_groups` (edge indices)."""
-    graph = state.graph
-    rank = graph.repr_rank()
-    groups: Dict[Tuple[int, int], List[int]] = {}
-    for e in state.uncolored_in_id_order():
-        u, v = graph.edge_u[e], graph.edge_v[e]
-        key = (u, v) if rank[u] <= rank[v] else (v, u)
-        groups.setdefault(key, []).append(e)
-    return [g for g in groups.values() if len(g) > 1]
-
-
-def compact_free_colors_of_orbit(
-    state: ArrayColoringState, report: OrbitReport
-) -> Set[int]:
-    """Array mirror of :func:`free_colors_of_orbit` (set result)."""
-    used: Set[int] = set()
-    graph = state.graph
-    # Set iteration below: the union being built is order-independent.
-    for v in report.nodes:  # repro: allow-set-iter
-        for c, eids in state.edges_at[v].items():
-            for e in eids:
-                other = graph.other_endpoint(e, v)
-                if other in report.nodes:
-                    used.add(c)
-    return set(range(state.q)) - used
-
-
-def compact_is_delta_witness(state: ArrayColoringState, report: OrbitReport) -> bool:
-    """Array mirror of :func:`is_delta_witness` (boolean verdict)."""
-    free = compact_free_colors_of_orbit(state, report)
-    for v in report.nodes:  # repro: allow-set-iter
-        if not any(state.is_missing(v, c) for c in free):
-            return True
-    return False
-
-
-def compact_is_gamma_witness(state: ArrayColoringState, report: OrbitReport) -> bool:
-    """Array mirror of :func:`is_gamma_witness` (boolean verdict)."""
-    free = compact_free_colors_of_orbit(state, report)
-    if not free:
-        return True
-    cap_sum = sum(state.cap[v] for v in report.nodes)
     for c in free:  # repro: allow-set-iter
         used = sum(state.count(v, c) for v in report.nodes)
         if used < cap_sum - 1:

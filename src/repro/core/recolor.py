@@ -3,11 +3,20 @@
 This is the engine room of the Section V algorithm.  A *capacitated*
 coloring allows color ``c`` to appear up to ``c_v`` times at node
 ``v``; the paper's Definitions 5.1–5.2 and Figure 4 are implemented
-here:
+here, once, for two key spaces:
 
 * :class:`ColoringState` — a partial coloring over ``q`` colors with
   per-node per-color counts and the *missing* / *strongly missing* /
-  *lightly missing* predicates of Definition 5.1.
+  *lightly missing* predicates of Definition 5.1.  Constructed over a
+  :class:`~repro.graphs.multigraph.Multigraph`, it is keyed by node
+  labels and edge ids (the ``plan_delta`` patch, the greedy baseline,
+  :mod:`repro.core.edge_orbits`).
+* :class:`ArrayColoringState` — the same state over a
+  :class:`~repro.graphs.array_backend.CompactGraph`, keyed by dense
+  node and edge indices (the production ``general`` kernel).  It
+  supplies only its constructor and the key-space hooks
+  (:meth:`~ColoringState.edge_order`, :meth:`~ColoringState.node_order`
+  and the two naming hooks used by error messages and lifting).
 * :meth:`ColoringState.attempt_flip` — an ab-path flip (Definition
   5.2).  Unlike the ``c_v = 1`` case, an alternating path need not be
   simple: the walk flips edges ``a→b, b→a, …`` and may revisit nodes;
@@ -17,12 +26,29 @@ here:
 * :meth:`ColoringState.try_color_edge` — color one uncolored edge
   using a common missing color directly, or after flips that free a
   color at an endpoint (the operational content of Lemmas 5.1–5.3).
+
+Both key spaces perform the same sequence of assigns and recolors on
+the same insertion-ordered dicts and consume the same seeded RNG, so
+an index-keyed run lifted through ``edge_ids`` is the label-keyed run.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Generic,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Protocol,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from repro.core.errors import ScheduleValidationError
 from repro.graphs.array_backend import CompactGraph
@@ -33,9 +59,34 @@ DEFAULT_PAIR_BUDGET = 32
 # Hard cap on alternating-walk length, as a multiple of |E|.
 _WALK_CAP_FACTOR = 2
 
+#: Node key of a state: a node label, or a CSR node index.
+N = TypeVar("N", bound=Hashable)
+_K = TypeVar("_K", contravariant=True)
+_V = TypeVar("_V", covariant=True)
 
-class ColoringState:
+
+class Lookup(Protocol[_K, _V]):
+    """Read access by node key: a dict over labels, a list over indices."""
+
+    def __getitem__(self, key: _K, /) -> _V: ...
+
+
+class GraphView(Protocol[N]):
+    """What the engine reads of a graph; edges are keyed by ``int``."""
+
+    @property
+    def num_edges(self) -> int: ...
+
+    def endpoints(self, e: int, /) -> Tuple[N, N]: ...
+
+    def other_endpoint(self, e: int, v: N, /) -> N: ...
+
+
+class ColoringState(Generic[N]):
     """A partial capacitated edge coloring with ``q`` colors.
+
+    Edge keys are ints in both key spaces: edge ids here, edge indices
+    in :class:`ArrayColoringState`.
 
     Args:
         graph: the transfer multigraph (self-loops allowed; a self-loop
@@ -45,61 +96,90 @@ class ColoringState:
             :meth:`add_color`.
     """
 
+    graph: GraphView[N]
+    cap: Lookup[N, int]
+    q: int
+    # Insertion order is the assignment history.
+    color: Dict[int, int]
+    # counts[v][c]: colored edge-ends of color c at v.
+    counts: Lookup[N, Dict[int, int]]
+    # edges_at[v][c]: the edge keys realizing counts[v][c], as an
+    # insertion-ordered dict used as an ordered set.  Iteration order
+    # shapes which edge an ab-walk flips, so it must be a deterministic
+    # function of the assignment history — dict insertion order is
+    # exactly that, whereas a set of ints iterates in a hash-table
+    # order that depends on the key values, which differ between the
+    # two key spaces.
+    edges_at: Lookup[N, Dict[int, Dict[int, None]]]
+    uncolored: Set[int]
+    _rng: random.Random
+
     def __init__(
-        self,
+        self: "ColoringState[Node]",
         graph: Multigraph,
         capacities: Mapping[Node, int],
         num_colors: int,
         seed: int = 0,
     ) -> None:
+        counts: Dict[Node, Dict[int, int]] = {v: {} for v in graph.nodes}
+        edges_at: Dict[Node, Dict[int, Dict[int, None]]] = {v: {} for v in graph.nodes}
         self.graph = graph
         self.cap = dict(capacities)
         self.q = num_colors
-        self.color: Dict[EdgeId, int] = {}
-        # counts[v][c]: colored edge-ends of color c at v.
-        self.counts: Dict[Node, Dict[int, int]] = {v: {} for v in graph.nodes}
-        # edges_at[v][c]: the edge ids realizing counts[v][c], as an
-        # insertion-ordered dict used as an ordered set.  Iteration
-        # order shapes which edge an ab-walk flips, so it must be a
-        # deterministic function of the assignment history — dict
-        # insertion order is exactly that, whereas a set of ints
-        # iterates in a hash-table order that depends on value
-        # distribution and is unmirrorable by the array backend.
-        self.edges_at: Dict[Node, Dict[int, Dict[EdgeId, None]]] = {
-            v: {} for v in graph.nodes
-        }
-        self.uncolored: Set[EdgeId] = set(graph.edge_ids())
+        self.color = {}
+        self.counts = counts
+        self.edges_at = edges_at
+        self.uncolored = set(graph.edge_ids())
         self._rng = random.Random(seed)
+
+    # ------------------------------------------------------------------
+    # key-space hooks (ArrayColoringState overrides all four)
+    # ------------------------------------------------------------------
+    def edge_id(self, e: int) -> EdgeId:
+        """The edge id that edge key ``e`` stands for."""
+        return e
+
+    def node_label(self, v: N) -> Node:
+        """The node label that node key ``v`` stands for."""
+        return v
+
+    def edge_order(self, edges: Iterable[int]) -> List[int]:
+        """``edges`` in ascending edge-id order (sweeps, edge lists)."""
+        return sorted(edges)
+
+    def node_order(self, nodes: Iterable[N]) -> List[N]:
+        """``nodes`` in ``repr`` order (orbit scans, pair keys)."""
+        return sorted(nodes, key=repr)
 
     # ------------------------------------------------------------------
     # predicates (Definition 5.1)
     # ------------------------------------------------------------------
-    def count(self, v: Node, c: int) -> int:
+    def count(self, v: N, c: int) -> int:
         return self.counts[v].get(c, 0)
 
-    def is_missing(self, v: Node, c: int) -> bool:
+    def is_missing(self, v: N, c: int) -> bool:
         """Color ``c`` is missing at ``v``: fewer than ``c_v`` uses."""
         return self.count(v, c) < self.cap[v]
 
-    def is_strongly_missing(self, v: Node, c: int) -> bool:
+    def is_strongly_missing(self, v: N, c: int) -> bool:
         """``E_c(v) < c_v - 1`` (at least two uses still available)."""
         return self.count(v, c) < self.cap[v] - 1
 
-    def is_lightly_missing(self, v: Node, c: int) -> bool:
+    def is_lightly_missing(self, v: N, c: int) -> bool:
         """``E_c(v) == c_v - 1`` (exactly one use available)."""
         return self.count(v, c) == self.cap[v] - 1
 
-    def is_saturated(self, v: Node, c: int) -> bool:
+    def is_saturated(self, v: N, c: int) -> bool:
         return self.count(v, c) >= self.cap[v]
 
-    def missing_colors(self, v: Node) -> List[int]:
+    def missing_colors(self, v: N) -> List[int]:
         """All colors missing at ``v`` (ascending)."""
         return [c for c in range(self.q) if self.is_missing(v, c)]
 
-    def strongly_missing_colors(self, v: Node) -> List[int]:
+    def strongly_missing_colors(self, v: N) -> List[int]:
         return [c for c in range(self.q) if self.is_strongly_missing(v, c)]
 
-    def common_missing_color(self, u: Node, v: Node) -> Optional[int]:
+    def common_missing_color(self, u: N, v: N) -> Optional[int]:
         """Smallest color missing at both endpoints, or None.
 
         For a self-loop caller (``u == v``) this demands two free slots
@@ -123,7 +203,7 @@ class ColoringState:
         self.q += 1
         return self.q - 1
 
-    def _bump(self, v: Node, c: int, delta: int, eid: EdgeId, adding: bool) -> None:
+    def _bump(self, v: N, c: int, delta: int, eid: EdgeId, adding: bool) -> None:
         self.counts[v][c] = self.counts[v].get(c, 0) + delta
         slot = self.edges_at[v].setdefault(c, {})
         if adding:
@@ -134,14 +214,14 @@ class ColoringState:
     def assign(self, eid: EdgeId, c: int) -> None:
         """Color uncolored edge ``eid`` with ``c`` (capacity-checked)."""
         if eid in self.color:
-            raise ScheduleValidationError(f"edge {eid} already colored")
+            raise ScheduleValidationError(f"edge {self.edge_id(eid)} already colored")
         u, v = self.graph.endpoints(eid)
         need = 2 if u == v else 1
         if self.count(u, c) + need > self.cap[u] or (
             u != v and self.count(v, c) + 1 > self.cap[v]
         ):
             raise ScheduleValidationError(
-                f"assigning color {c} to edge {eid} violates a constraint"
+                f"assigning color {c} to edge {self.edge_id(eid)} violates a constraint"
             )
         self.color[eid] = c
         self.uncolored.discard(eid)
@@ -180,7 +260,7 @@ class ColoringState:
     # ------------------------------------------------------------------
     # ab-path flips (Definition 5.2 / Figure 4)
     # ------------------------------------------------------------------
-    def attempt_flip(self, start: Node, from_color: int, to_color: int) -> bool:
+    def attempt_flip(self, start: N, from_color: int, to_color: int) -> bool:
         """Flip an alternating walk starting at ``start``.
 
         The walk flips an edge colored ``from_color`` at ``start`` to
@@ -205,14 +285,14 @@ class ColoringState:
         cap = self.cap
         walk_len_cap = _WALK_CAP_FACTOR * max(1, self.graph.num_edges)
         # pending[(v, c)] = delta vs. committed counts during the walk.
-        pending: Dict[Tuple[Node, int], int] = {}
+        pending: Dict[Tuple[N, int], int] = {}
         new_color_of: Dict[EdgeId, int] = {}
         used: Set[EdgeId] = set()
 
-        def eff(v: Node, c: int) -> int:
+        def eff(v: N, c: int) -> int:
             return self.count(v, c) + pending.get((v, c), 0)
 
-        def flip_edge(eid: EdgeId, old: int, new: int, x: Node, y: Node) -> None:
+        def flip_edge(eid: EdgeId, old: int, new: int, x: N, y: N) -> None:
             new_color_of[eid] = new
             used.add(eid)
             if x == y:
@@ -223,7 +303,7 @@ class ColoringState:
                     pending[(node, old)] = pending.get((node, old), 0) - 1
                     pending[(node, new)] = pending.get((node, new), 0) + 1
 
-        def pick_edge(v: Node, want: int, target: int) -> Optional[EdgeId]:
+        def pick_edge(v: N, want: int, target: int) -> Optional[EdgeId]:
             """An unused edge at ``v`` of color ``want``, to flip to ``target``.
 
             Prefers an edge whose far endpoint can absorb ``target``
@@ -331,7 +411,7 @@ class ColoringState:
         :meth:`try_color_edge`.
         """
         rejected: List[EdgeId] = []
-        for eid in sorted(coloring):
+        for eid in self.edge_order(coloring):
             u, v = self.graph.endpoints(eid)
             c = coloring[eid]
             need = 2 if u == v else 1
@@ -353,50 +433,52 @@ class ColoringState:
 
         Raises:
             ScheduleValidationError: on any inconsistency or capacity
-                violation.
+                violation, naming node labels and edge ids.
         """
         if require_complete and self.uncolored:
             raise ScheduleValidationError(f"{len(self.uncolored)} edges uncolored")
-        fresh: Dict[Node, Dict[int, int]] = {v: {} for v in self.graph.nodes}
+        fresh: Dict[N, Dict[int, int]] = {}
         for eid, c in self.color.items():
             u, v = self.graph.endpoints(eid)
             if not 0 <= c < self.q:
-                raise ScheduleValidationError(f"edge {eid} has color {c} outside palette")
-            if u == v:
-                fresh[u][c] = fresh[u].get(c, 0) + 2
-            else:
-                fresh[u][c] = fresh[u].get(c, 0) + 1
-                fresh[v][c] = fresh[v].get(c, 0) + 1
+                raise ScheduleValidationError(
+                    f"edge {self.edge_id(eid)} has color {c} outside palette"
+                )
+            for x in (u,) if u == v else (u, v):
+                at_x = fresh.setdefault(x, {})
+                at_x[c] = at_x.get(c, 0) + (2 if u == v else 1)
         for v, per_color in fresh.items():
             for c, n in per_color.items():
                 if n > self.cap[v]:
                     raise ScheduleValidationError(
-                        f"node {v!r} has {n} edges of color {c} but c_v={self.cap[v]}"
+                        f"node {self.node_label(v)!r} has {n} edges of color {c} "
+                        f"but c_v={self.cap[v]}"
                     )
                 if n != self.count(v, c):
                     raise ScheduleValidationError(
-                        f"count drift at ({v!r}, {c}): cached {self.count(v, c)}, real {n}"
+                        f"count drift at ({self.node_label(v)!r}, {c}): "
+                        f"cached {self.count(v, c)}, real {n}"
                     )
 
     def colors_used(self) -> int:
         return len(set(self.color.values()))
 
 
-class ArrayColoringState:
-    """Array-backend mirror of :class:`ColoringState` (byte-identical).
+class ArrayColoringState(ColoringState[int]):
+    """:class:`ColoringState` over a :class:`CompactGraph`'s dense indices.
 
-    Nodes and edges are the dense indices of a
-    :class:`~repro.graphs.array_backend.CompactGraph`.  Every dict the
-    object engine keys by node label or edge id is keyed here by
-    index, and because the compact driver performs the exact same
-    sequence of assigns / unassigns / recolors, the insertion orders
-    that shape flip walks (``edges_at`` slot order, ``new_color_of``
-    application order) are reproduced move for move.  ``color`` stays a
-    real dict — its insertion order *is* the assignment history, which
-    the driver lifts into the coloring dict the object engine would
-    have built.  The RNG is seeded identically and consumed by the same
-    shuffle calls, so tie-breaking matches too.
+    Node keys are node indices and edge keys are edge indices; every
+    per-node table is a list.  The hooks restore the label-space
+    orders: sweeps and edge lists sort by edge *id* (a component
+    subgraph preserves ids but need not enumerate them ascending), and
+    node scans and pair keys sort by the graph's cached repr rank —
+    the same order as ``sorted(nodes, key=repr)`` whenever node reprs
+    are unique (the fingerprint precondition).  ``color`` keeps the
+    assignment history, so lifting it through ``edge_ids`` gives the
+    dict the label-keyed state would have built.
     """
+
+    graph: CompactGraph
 
     def __init__(
         self,
@@ -405,259 +487,34 @@ class ArrayColoringState:
         num_colors: int,
         seed: int = 0,
     ) -> None:
-        self.graph = graph
-        self.cap: List[int] = list(capacities)
-        self.q = num_colors
-        self.color: Dict[int, int] = {}
-        # counts[v][c]: colored edge-ends of color c at node index v.
-        self.counts: List[Dict[int, int]] = [{} for _ in range(graph.num_nodes)]
-        # edges_at[v][c]: insertion-ordered dict-as-set of edge indices,
-        # mirroring ColoringState.edges_at slot for slot.
-        self.edges_at: List[Dict[int, Dict[int, None]]] = [
+        counts: List[Dict[int, int]] = [{} for _ in range(graph.num_nodes)]
+        edges_at: List[Dict[int, Dict[int, None]]] = [
             {} for _ in range(graph.num_nodes)
         ]
-        self.uncolored: Set[int] = set(range(graph.num_edges))
+        self.graph = graph
+        self.cap = list(capacities)
+        self.q = num_colors
+        self.color = {}
+        self.counts = counts
+        self.edges_at = edges_at
+        self.uncolored = set(range(graph.num_edges))
         self._rng = random.Random(seed)
 
-    def uncolored_in_id_order(self) -> List[int]:
-        """Uncolored edge indices sorted by edge *id*.
+    def edge_id(self, e: int) -> EdgeId:
+        return self.graph.edge_ids[e]
 
-        The object engine sweeps ``sorted(state.uncolored)`` — edge ids
-        ascending.  A component subgraph's enumeration order preserves
-        ids but need not be ascending in them, so index order and id
-        order can differ; sorting by the id key reproduces the object
-        sweep exactly.
-        """
-        return sorted(self.uncolored, key=self.graph.edge_ids.__getitem__)
+    def node_label(self, v: int) -> Node:
+        return self.graph.nodes[v]
 
-    # ------------------------------------------------------------------
-    # predicates (Definition 5.1)
-    # ------------------------------------------------------------------
-    def count(self, v: int, c: int) -> int:
-        return self.counts[v].get(c, 0)
+    def edge_order(self, edges: Iterable[int]) -> List[int]:
+        return sorted(edges, key=self.graph.edge_ids.__getitem__)
 
-    def is_missing(self, v: int, c: int) -> bool:
-        return self.count(v, c) < self.cap[v]
+    def node_order(self, nodes: Iterable[int]) -> List[int]:
+        return sorted(nodes, key=self.graph.repr_rank().__getitem__)
 
-    def is_strongly_missing(self, v: int, c: int) -> bool:
-        return self.count(v, c) < self.cap[v] - 1
-
-    def is_lightly_missing(self, v: int, c: int) -> bool:
-        return self.count(v, c) == self.cap[v] - 1
-
-    def is_saturated(self, v: int, c: int) -> bool:
-        return self.count(v, c) >= self.cap[v]
-
-    def missing_colors(self, v: int) -> List[int]:
-        return [c for c in range(self.q) if self.is_missing(v, c)]
-
-    def strongly_missing_colors(self, v: int) -> List[int]:
-        return [c for c in range(self.q) if self.is_strongly_missing(v, c)]
-
-    def common_missing_color(self, u: int, v: int) -> Optional[int]:
-        if u == v:
-            for c in range(self.q):
-                if self.is_strongly_missing(u, c):
-                    return c
-            return None
-        for c in range(self.q):
-            if self.is_missing(u, c) and self.is_missing(v, c):
-                return c
-        return None
-
-    # ------------------------------------------------------------------
-    # mutation
-    # ------------------------------------------------------------------
-    def add_color(self) -> int:
-        self.q += 1
-        return self.q - 1
-
-    def _bump(self, v: int, c: int, delta: int, e: int, adding: bool) -> None:
-        self.counts[v][c] = self.counts[v].get(c, 0) + delta
-        slot = self.edges_at[v].setdefault(c, {})
-        if adding:
-            slot[e] = None
-        else:
-            slot.pop(e, None)
-
-    def assign(self, e: int, c: int) -> None:
-        if e in self.color:
-            raise ScheduleValidationError(
-                f"edge {self.graph.edge_ids[e]} already colored"
-            )
-        u, v = self.graph.edge_u[e], self.graph.edge_v[e]
-        need = 2 if u == v else 1
-        if self.count(u, c) + need > self.cap[u] or (
-            u != v and self.count(v, c) + 1 > self.cap[v]
-        ):
-            raise ScheduleValidationError(
-                f"assigning color {c} to edge {self.graph.edge_ids[e]} "
-                f"violates a constraint"
-            )
-        self.color[e] = c
-        self.uncolored.discard(e)
-        if u == v:
-            self._bump(u, c, 2, e, adding=True)
-        else:
-            self._bump(u, c, 1, e, adding=True)
-            self._bump(v, c, 1, e, adding=True)
-
-    def unassign(self, e: int) -> int:
-        c = self.color.pop(e)
-        self.uncolored.add(e)
-        u, v = self.graph.edge_u[e], self.graph.edge_v[e]
-        if u == v:
-            self._bump(u, c, -2, e, adding=False)
-        else:
-            self._bump(u, c, -1, e, adding=False)
-            self._bump(v, c, -1, e, adding=False)
-        return c
-
-    def _recolor(self, e: int, new: int) -> None:
-        old = self.color[e]
-        u, v = self.graph.edge_u[e], self.graph.edge_v[e]
-        if u == v:
-            self._bump(u, old, -2, e, adding=False)
-            self._bump(u, new, 2, e, adding=True)
-        else:
-            self._bump(u, old, -1, e, adding=False)
-            self._bump(v, old, -1, e, adding=False)
-            self._bump(u, new, 1, e, adding=True)
-            self._bump(v, new, 1, e, adding=True)
-        self.color[e] = new
-
-    # ------------------------------------------------------------------
-    # ab-path flips (Definition 5.2 / Figure 4)
-    # ------------------------------------------------------------------
-    def attempt_flip(self, start: int, from_color: int, to_color: int) -> bool:
-        if from_color == to_color:
-            return False
-        if not self.is_missing(start, to_color):
-            return False
-        slots = self.edges_at[start].get(from_color)
-        if not slots:
-            return False
-
-        cap = self.cap
-        graph = self.graph
-        walk_len_cap = _WALK_CAP_FACTOR * max(1, graph.num_edges)
-        pending: Dict[Tuple[int, int], int] = {}
-        new_color_of: Dict[int, int] = {}
-        used: Set[int] = set()
-
-        def eff(v: int, c: int) -> int:
-            return self.count(v, c) + pending.get((v, c), 0)
-
-        def flip_edge(e: int, old: int, new: int, x: int, y: int) -> None:
-            new_color_of[e] = new
-            used.add(e)
-            if x == y:
-                pending[(x, old)] = pending.get((x, old), 0) - 2
-                pending[(x, new)] = pending.get((x, new), 0) + 2
-            else:
-                for node in (x, y):
-                    pending[(node, old)] = pending.get((node, old), 0) - 1
-                    pending[(node, new)] = pending.get((node, new), 0) + 1
-
-        def pick_edge(v: int, want: int, target: int) -> Optional[int]:
-            best: Optional[int] = None
-            for e in self.edges_at[v].get(want, ()):  # committed color
-                if e in used or new_color_of.get(e, want) != want:
-                    continue
-                other = graph.other_endpoint(e, v)
-                if other != v and eff(other, target) < cap[other]:
-                    return e
-                if best is None:
-                    best = e
-            return best
-
-        cur = start
-        f_from, f_to = from_color, to_color
-        steps = 0
-        while True:
-            steps += 1
-            if steps > walk_len_cap:
-                return False
-            e = pick_edge(cur, f_from, f_to)
-            if e is None:
-                return False
-            other = graph.other_endpoint(e, cur)
-            if other == cur:
-                # Mirror of the object engine: self-loop flips fail the
-                # walk (see ColoringState.attempt_flip).
-                return False
-            flip_edge(e, f_from, f_to, cur, other)
-            if eff(other, f_to) <= cap[other]:
-                break
-            cur = other
-            f_from, f_to = f_to, f_from
-
-        for (v, c), _d in pending.items():
-            if eff(v, c) > cap[v] or eff(v, c) < 0:
-                return False
-        for e, new in new_color_of.items():
-            self._recolor(e, new)
-        return True
-
-    def try_color_edge(self, e: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> bool:
-        u, v = self.graph.edge_u[e], self.graph.edge_v[e]
-        c = self.common_missing_color(u, v)
-        if c is not None:
-            self.assign(e, c)
-            return True
-        if u == v:
-            return False
-
-        miss_u = self.missing_colors(u)
-        miss_v = self.missing_colors(v)
-        if not miss_u or not miss_v:
-            return False
-        pairs = [(a, b) for a in miss_u for b in miss_v if a != b]
-        self._rng.shuffle(pairs)
-        for a, b in pairs[:pair_budget]:
-            if self.is_saturated(v, a) and self.attempt_flip(v, a, b):
-                c = self.common_missing_color(u, v)
-                if c is not None:
-                    self.assign(e, c)
-                    return True
-            if self.is_saturated(u, b) and self.attempt_flip(u, b, a):
-                c = self.common_missing_color(u, v)
-                if c is not None:
-                    self.assign(e, c)
-                    return True
-        return False
-
-    # ------------------------------------------------------------------
-    # validation / export
-    # ------------------------------------------------------------------
-    def validate(self, require_complete: bool = False) -> None:
-        if require_complete and self.uncolored:
-            raise ScheduleValidationError(f"{len(self.uncolored)} edges uncolored")
-        graph = self.graph
-        fresh: List[Dict[int, int]] = [{} for _ in range(graph.num_nodes)]
-        for e, c in self.color.items():
-            u, v = graph.edge_u[e], graph.edge_v[e]
-            if not 0 <= c < self.q:
-                raise ScheduleValidationError(
-                    f"edge {graph.edge_ids[e]} has color {c} outside palette"
-                )
-            if u == v:
-                fresh[u][c] = fresh[u].get(c, 0) + 2
-            else:
-                fresh[u][c] = fresh[u].get(c, 0) + 1
-                fresh[v][c] = fresh[v].get(c, 0) + 1
-        for v, per_color in enumerate(fresh):
-            for c, n in per_color.items():
-                if n > self.cap[v]:
-                    raise ScheduleValidationError(
-                        f"node {graph.nodes[v]!r} has {n} edges of color {c} "
-                        f"but c_v={self.cap[v]}"
-                    )
-                if n != self.count(v, c):
-                    raise ScheduleValidationError(
-                        f"count drift at ({graph.nodes[v]!r}, {c}): "
-                        f"cached {self.count(v, c)}, real {n}"
-                    )
-
-    def colors_used(self) -> int:
-        return len(set(self.color.values()))
+    # The general kernel's hot entry points, bound in this class's own
+    # namespace too so per-class probes can tell the key spaces apart.
+    common_missing_color = ColoringState.common_missing_color
+    try_color_edge = ColoringState.try_color_edge
+    attempt_flip = ColoringState.attempt_flip
+    add_color = ColoringState.add_color

@@ -180,6 +180,10 @@ class CompactGraph:
         """Edge indices incident to node index ``v`` (loops once)."""
         return self.inc_edge[self.indptr[v] : self.indptr[v + 1]]
 
+    def endpoints(self, e: int) -> Tuple[int, int]:
+        """Endpoint node indices of edge index ``e``."""
+        return self.edge_u[e], self.edge_v[e]
+
     def is_self_loop(self, e: int) -> bool:
         return self.edge_u[e] == self.edge_v[e]
 

@@ -133,151 +133,6 @@ class FlowNetwork:
         return 0
 
 
-class IntFlowNetwork:
-    """Array-backend mirror of :class:`FlowNetwork` over dense int nodes.
-
-    Same residual-twin layout (twin of handle ``h`` is ``h ^ 1``), same
-    Dinic phase structure, same per-node arc order semantics — but
-    nodes are preallocated dense ints (no interning dict, no hashable
-    labels) and the BFS/DFS inner loops run on local bindings of the
-    flat arrays.  Given the same arc insertion order and capacities it
-    performs *exactly* the same augmentations as :class:`FlowNetwork`,
-    which is what lets the compact solvers replicate the object
-    engine's matchings bit for bit.
-
-    Capacities are mutable via :meth:`set_capacity`, which the peeling
-    engines use to reset quota arcs between peels instead of rebuilding
-    the network (see ``repro.graphs.matching.QuotaPeeler``).
-    """
-
-    def __init__(self, num_nodes: int) -> None:
-        if num_nodes < 0:
-            raise ValueError(f"negative node count {num_nodes}")
-        self._to: List[int] = []
-        self._cap: List[int] = []
-        self._adj: List[List[int]] = [[] for _ in range(num_nodes)]
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self._adj)
-
-    def add_edge(self, u: int, v: int, capacity: int) -> int:
-        """Add a directed arc ``u -> v``; return its handle."""
-        if capacity < 0:
-            raise ValueError(f"negative capacity {capacity} on edge {u}->{v}")
-        to, cap = self._to, self._cap
-        handle = len(to)
-        to.append(v)
-        cap.append(capacity)
-        self._adj[u].append(handle)
-        to.append(u)
-        cap.append(0)
-        self._adj[v].append(handle + 1)
-        return handle
-
-    def flow_on(self, handle: int) -> int:
-        """Flow routed through the arc (residual on the twin)."""
-        return self._cap[handle ^ 1]
-
-    def capacity_of(self, handle: int) -> int:
-        """Remaining (residual) capacity of the arc."""
-        return self._cap[handle]
-
-    def set_capacity(self, handle: int, capacity: int) -> None:
-        """Overwrite the residual capacity of one arc (twin untouched)."""
-        self._cap[handle] = capacity
-
-    def max_flow(self, s: int, t: int) -> int:
-        """Dinic's algorithm, mirroring :meth:`FlowNetwork.max_flow`.
-
-        The phase structure, level computation, current-arc (``it``)
-        advancement, dead-node marking and augmentation order are all
-        identical to the object implementation; only the constant
-        factors differ (dense ints, locally bound arrays, no attribute
-        lookups in the hot loops).
-        """
-        if s == t:
-            raise ValueError("source and sink must differ")
-        to = self._to
-        cap = self._cap
-        adj = self._adj
-        n = len(adj)
-        total = 0
-        while True:
-            # BFS levels.  Level assignment is order-independent (a
-            # node's level is its residual BFS distance from s), so
-            # this loop is free to differ cosmetically from the object
-            # BFS — the resulting ``level`` array is the same.
-            level = [-1] * n
-            level[s] = 0
-            frontier = [s]
-            depth = 0
-            while frontier:
-                depth += 1
-                nxt: List[int] = []
-                for v in frontier:
-                    for h in adj[v]:
-                        if cap[h] > 0:
-                            w = to[h]
-                            if level[w] < 0:
-                                level[w] = depth
-                                nxt.append(w)
-                frontier = nxt
-            if level[t] < 0:
-                return total
-            it = [0] * n
-            # Iterative blocking-flow DFS.  Behaviorally identical to
-            # the object engine's repeated recursive ``_dfs_push``
-            # calls: after an augmentation the recursion would unwind
-            # to s and re-descend along the unchanged ``it`` pointers,
-            # re-taking exactly the kept arcs (caps above the first
-            # saturated arc are still positive, levels unchanged) — so
-            # truncating the explicit path at that arc and continuing
-            # visits the same arcs in the same order, without the
-            # recursion depth limit on long zig-zag residual paths.
-            path = [s]
-            arcs: List[int] = []
-            while path:
-                v = path[-1]
-                if v == t:
-                    pushed = min(cap[h] for h in arcs)
-                    cut = len(arcs)
-                    for idx, h in enumerate(arcs):
-                        c = cap[h] - pushed
-                        cap[h] = c
-                        cap[h ^ 1] += pushed
-                        if c == 0 and idx < cut:
-                            cut = idx
-                    total += pushed
-                    del path[cut + 1 :]
-                    del arcs[cut:]
-                    continue
-                row = adj[v]
-                nrow = len(row)
-                i = it[v]
-                lv = level[v] + 1
-                advanced = False
-                while i < nrow:
-                    h = row[i]
-                    if cap[h] > 0:
-                        w = to[h]
-                        if level[w] == lv:
-                            it[v] = i
-                            path.append(w)
-                            arcs.append(h)
-                            advanced = True
-                            break
-                    i += 1
-                if advanced:
-                    continue
-                it[v] = i
-                level[v] = -1
-                path.pop()
-                if path:
-                    it[path[-1]] += 1
-                    arcs.pop()
-
-
 def max_flow(
     edges: List[Tuple[Node, Node, int]], source: Node, sink: Node
 ) -> Tuple[int, Dict[int, int]]:

@@ -18,7 +18,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graphs.flow import FlowNetwork, IntFlowNetwork
+from repro.graphs.flow import FlowNetwork
 
 Node = Hashable
 
@@ -226,8 +226,8 @@ class QuotaPeeler:
         BFS levels are computed with a vectorized numpy gather when the
         frontier is large (levels are a pure function of the residual
         graph, so any BFS implementation yields the same array); the
-        blocking-flow DFS is the same iterative exact mirror as
-        :meth:`IntFlowNetwork.max_flow`, with the capacity-positivity
+        blocking-flow DFS is an iterative exact mirror of the recursive
+        DFS in :meth:`FlowNetwork.max_flow`, with the capacity-positivity
         numpy mirror (``_pos_np``) kept in sync on every 0 <-> positive
         transition so the next BFS sees the residual arcs.
         """
@@ -286,8 +286,15 @@ class QuotaPeeler:
             # ``level`` (list) serves the scalar DFS scan, ``level_np``
             # the vectorized one; dead-end markings update both.
             it = [0] * n
-            # Iterative blocking-flow DFS; see IntFlowNetwork.max_flow
-            # for the equivalence argument to the recursive object DFS.
+            # Iterative blocking-flow DFS, behaviorally identical to
+            # the repeated recursive ``_dfs_push`` calls of
+            # FlowNetwork.max_flow: after an augmentation the recursion
+            # would unwind to s and re-descend along the unchanged
+            # ``it`` pointers, re-taking exactly the kept arcs (caps
+            # above the first saturated arc are still positive, levels
+            # unchanged) — so truncating the explicit path at that arc
+            # and continuing visits the same arcs in the same order,
+            # without the recursion depth limit on long residual paths.
             # The current-arc scan is hybrid: a short scalar prefix,
             # then a vectorized first-admissible-arc search (argmax on
             # the same cap>0 / level==lv predicate over the CSR row

@@ -36,10 +36,11 @@ independent lower-bound certifier, and bound to their inputs by a
 Determinism contract: ``plan_delta(prior, delta)`` is a pure function
 of ``(prior instance, prior schedule bytes, prior seed, delta)`` —
 cache state changes only how much work is done, never the output
-bytes.  The patch path runs on the object
-:class:`~repro.core.recolor.ColoringState` (warm starts are not a
-solver kernel); fallback re-solves run the same solve path as
-``plan()``.
+bytes.  The patch path runs the general solver's recoloring engine
+keyed by node labels and edge ids — a
+:class:`~repro.core.recolor.ColoringState` over the component's
+``Multigraph`` (warm starts are not a solver kernel); fallback
+re-solves run the same solve path as ``plan()``.
 """
 
 from __future__ import annotations

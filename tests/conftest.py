@@ -5,12 +5,14 @@ from __future__ import annotations
 import dataclasses
 import random
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import pytest
 
 from repro.core.problem import MigrationInstance
-from repro.graphs.multigraph import Multigraph
+from repro.core.recolor import ArrayColoringState, ColoringState
+from repro.graphs.array_backend import CompactGraph
+from repro.graphs.multigraph import EdgeId, Multigraph, Node
 from repro.pipeline import registry
 
 
@@ -29,6 +31,30 @@ def reference_kernels() -> Iterator[None]:
                 dataclasses.replace(spec, solve_compact=None),
             )
         yield
+
+
+def keyed_state(
+    key_space: str,
+    graph: Multigraph,
+    caps: Mapping[Node, int],
+    q: int,
+    seed: int = 0,
+) -> Tuple["ColoringState[Any]", Callable[[EdgeId], int], Callable[[Node], Any]]:
+    """``(state, edge_key, node_key)``: a coloring state in one key space.
+
+    ``"label"`` keys the state by node labels and edge ids.  ``"index"``
+    lowers ``graph`` the way ``lower_instance`` does, after re-enumerating
+    its edges in descending id order so that edge index order, edge id
+    order and node repr order all differ; the state is keyed by CSR
+    indices.  ``edge_key`` / ``node_key`` map ids and labels to keys;
+    ``state.edge_id`` / ``state.node_label`` map keys back.
+    """
+    if key_space == "label":
+        return ColoringState(graph, caps, q, seed=seed), (lambda e: e), (lambda v: v)
+    flipped = graph.edge_subgraph(sorted(graph.edge_ids(), reverse=True))
+    compact = CompactGraph.from_multigraph(flipped)
+    state = ArrayColoringState(compact, [caps[v] for v in compact.nodes], q, seed=seed)
+    return state, compact.edge_index_of.__getitem__, compact.index_of.__getitem__
 
 
 def random_multigraph(

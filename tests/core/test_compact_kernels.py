@@ -24,11 +24,7 @@ from repro.core.special_cases import (
     bipartite_optimal_schedule,
     bipartite_optimal_schedule_compact,
 )
-from repro.graphs.array_backend import CompactGraph, lower_instance
-from repro.graphs.coloring.euler_split import (
-    compact_euler_split_coloring,
-    euler_split_coloring,
-)
+from repro.graphs.array_backend import lower_instance
 from repro.graphs.multigraph import Multigraph
 from repro.workloads.generators import (
     bipartite_instance,
@@ -120,29 +116,3 @@ class TestGeneralCompact:
         obj = general_schedule(instance, seed=0)
         arr = general_schedule_compact(lower_instance(instance), seed=0)
         assert_same_schedule(obj, arr)
-
-
-class TestEulerSplitCompact:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_random_multigraph(self, seed):
-        import random
-
-        rng = random.Random(seed)
-        g = Multigraph(nodes=range(10))
-        for _ in range(70):
-            u, v = rng.sample(range(10), 2)
-            g.add_edge(u, v)
-        obj = euler_split_coloring(g)
-        arr = compact_euler_split_coloring(CompactGraph.from_multigraph(g))
-        # Exact dict equality including insertion order.
-        assert list(obj.items()) == list(arr.items())
-
-    def test_self_loop_rejected_like_object(self):
-        g = Multigraph(nodes=["v", "w"])
-        g.add_edge("v", "w")
-        loop = g.add_edge("v", "v")
-        compact = CompactGraph.from_multigraph(g)
-        with pytest.raises(ValueError, match=str(loop)):
-            euler_split_coloring(g)
-        with pytest.raises(ValueError, match=str(loop)):
-            compact_euler_split_coloring(compact)

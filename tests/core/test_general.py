@@ -6,7 +6,7 @@ import math
 import pytest
 
 from repro.core.exact import exact_optimum_rounds
-from repro.core.general import GeneralSolverStats, _phase1, _phase1_compact, general_schedule
+from repro.core.general import GeneralSolverStats, _phase1, general_schedule
 from repro.core.lower_bounds import lower_bound
 from repro.core.problem import MigrationInstance
 from repro.core.recolor import ArrayColoringState, ColoringState
@@ -116,19 +116,15 @@ def _phase1_from_low_palette(key_space, instance, solver_seed):
     """
     lb = lower_bound(instance)
     q = lb - 3
-    epsilon = 1.0 / math.sqrt(lb)
-    stats = GeneralSolverStats()
     if key_space == "label":
         state = ColoringState(instance.graph, instance.capacities, q, seed=solver_seed)
-        residual = _phase1(instance, state, epsilon, stats)
-        residual_ids = None if residual is None else residual.edge_ids()
-        coloring = list(state.color.items())
     else:
         ci = lower_instance(instance)
         state = ArrayColoringState(ci.graph, ci.capacities, q, seed=solver_seed)
-        residual_ids = _phase1_compact(ci, state, epsilon, stats)
-        coloring = [(ci.graph.edge_ids[e], c) for e, c in state.color.items()]
+    stats = GeneralSolverStats()
+    residual_ids = _phase1(state, instance.delta_prime(), 1.0 / math.sqrt(lb), stats)
     state.validate()
+    coloring = [(state.edge_id(e), c) for e, c in state.color.items()]
     return coloring, residual_ids, stats
 
 

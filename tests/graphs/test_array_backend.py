@@ -16,7 +16,6 @@ from repro.graphs.array_backend import (
     lower_instance,
 )
 from repro.graphs.euler import euler_circuits, euler_circuits_of
-from repro.graphs.flow import FlowNetwork, IntFlowNetwork
 from repro.graphs.matching import (
     InfeasibleMatchingError,
     QuotaPeeler,
@@ -177,31 +176,6 @@ class TestCompactEulerCircuits:
             for circuit in arr
         ]
         assert lifted == obj
-
-
-class TestIntFlowNetwork:
-    def _random_network(self, seed):
-        import random
-
-        rng = random.Random(seed)
-        n = rng.randint(4, 8)
-        obj = FlowNetwork()
-        arr = IntFlowNetwork(n)
-        handles = []
-        for _ in range(rng.randint(5, 16)):
-            u, v = rng.sample(range(n), 2)
-            cap = rng.randint(1, 5)
-            oh = obj.add_edge(u, v, cap)
-            ah = arr.add_edge(u, v, cap)
-            handles.append((oh, ah))
-        return obj, arr, handles
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_same_max_flow_and_arc_flows(self, seed):
-        obj, arr, handles = self._random_network(seed)
-        assert obj.max_flow(0, 1) == arr.max_flow(0, 1)
-        for oh, ah in handles:
-            assert obj.flow_on(oh) == arr.flow_on(ah)
 
 
 class TestQuotaPeeler:
