@@ -513,7 +513,8 @@ class ArrayColoringState(ColoringState[int]):
         return sorted(nodes, key=self.graph.repr_rank().__getitem__)
 
     # The general kernel's hot entry points, bound in this class's own
-    # namespace too so per-class probes can tell the key spaces apart.
+    # namespace too: the benchmark's per-class probes read the class
+    # ``__dict__``, and this keeps the two key spaces apart there.
     common_missing_color = ColoringState.common_missing_color
     try_color_edge = ColoringState.try_color_edge
     attempt_flip = ColoringState.attempt_flip
