@@ -27,6 +27,18 @@ here, once, for two key spaces:
   using a common missing color directly, or after flips that free a
   color at an endpoint (the operational content of Lemmas 5.1–5.3).
 
+Palette lookups are bit operations.  Next to the per-color counts the
+state keeps one Python-int mask per node, ``full[v]``, whose bit ``c``
+is set exactly when ``counts[v][c] >= c_v`` (color ``c`` is saturated
+at ``v``).  :meth:`ColoringState._bump` is the only place counts
+change, and it flips the bit whenever a count crosses ``c_v``, so the
+*smallest common missing color* of an edge ``uv`` is the lowest set
+bit of ``~(full[u] | full[v])`` within the palette — one lookup
+instead of a scan over ``q`` colors.  Capacities are positive, so a
+color added by :meth:`ColoringState.add_color` starts free and needs
+no mask update.  :meth:`ColoringState.validate` recomputes the masks
+from scratch.
+
 Both key spaces perform the same sequence of assigns and recolors on
 the same insertion-ordered dicts and consume the same seeded RNG, so
 an index-keyed run lifted through ``edge_ids`` is the label-keyed run.
@@ -63,12 +75,21 @@ _WALK_CAP_FACTOR = 2
 N = TypeVar("N", bound=Hashable)
 _K = TypeVar("_K", contravariant=True)
 _V = TypeVar("_V", covariant=True)
+_T = TypeVar("_T")
 
 
 class Lookup(Protocol[_K, _V]):
     """Read access by node key: a dict over labels, a list over indices."""
 
     def __getitem__(self, key: _K, /) -> _V: ...
+
+
+class Table(Protocol[_K, _T]):
+    """Read-write access by node key: a dict over labels, a list over indices."""
+
+    def __getitem__(self, key: _K, /) -> _T: ...
+
+    def __setitem__(self, key: _K, value: _T, /) -> None: ...
 
 
 class GraphView(Protocol[N]):
@@ -111,6 +132,11 @@ class ColoringState(Generic[N]):
     # order that depends on the key values, which differ between the
     # two key spaces.
     edges_at: Lookup[N, Dict[int, Dict[int, None]]]
+    # full[v]: bit c set exactly when counts[v][c] >= c_v (color c is
+    # saturated at v).  Maintained by _bump alone.
+    full: Table[N, int]
+    # Every node key, in graph order (validate's mask recount).
+    node_keys: Sequence[N]
     uncolored: Set[int]
     _rng: random.Random
 
@@ -129,6 +155,8 @@ class ColoringState(Generic[N]):
         self.color = {}
         self.counts = counts
         self.edges_at = edges_at
+        self.full = {v: 0 for v in graph.nodes}
+        self.node_keys = graph.nodes
         self.uncolored = set(graph.edge_ids())
         self._rng = random.Random(seed)
 
@@ -159,7 +187,7 @@ class ColoringState(Generic[N]):
 
     def is_missing(self, v: N, c: int) -> bool:
         """Color ``c`` is missing at ``v``: fewer than ``c_v`` uses."""
-        return self.count(v, c) < self.cap[v]
+        return not self.full[v] >> c & 1
 
     def is_strongly_missing(self, v: N, c: int) -> bool:
         """``E_c(v) < c_v - 1`` (at least two uses still available)."""
@@ -170,11 +198,13 @@ class ColoringState(Generic[N]):
         return self.count(v, c) == self.cap[v] - 1
 
     def is_saturated(self, v: N, c: int) -> bool:
-        return self.count(v, c) >= self.cap[v]
+        return bool(self.full[v] >> c & 1)
 
     def missing_colors(self, v: N) -> List[int]:
         """All colors missing at ``v`` (ascending)."""
-        return [c for c in range(self.q) if self.is_missing(v, c)]
+        free = ~self.full[v] & ((1 << self.q) - 1)
+        # Binary digits reversed: character c is bit c.
+        return [c for c, bit in enumerate(bin(free)[:1:-1]) if bit == "1"]
 
     def strongly_missing_colors(self, v: N) -> List[int]:
         return [c for c in range(self.q) if self.is_strongly_missing(v, c)]
@@ -190,10 +220,8 @@ class ColoringState(Generic[N]):
                 if self.is_strongly_missing(u, c):
                     return c
             return None
-        for c in range(self.q):
-            if self.is_missing(u, c) and self.is_missing(v, c):
-                return c
-        return None
+        free = ~(self.full[u] | self.full[v]) & ((1 << self.q) - 1)
+        return (free & -free).bit_length() - 1 if free else None
 
     # ------------------------------------------------------------------
     # mutation
@@ -204,7 +232,13 @@ class ColoringState(Generic[N]):
         return self.q - 1
 
     def _bump(self, v: N, c: int, delta: int, eid: EdgeId, adding: bool) -> None:
-        self.counts[v][c] = self.counts[v].get(c, 0) + delta
+        at_v = self.counts[v]
+        before = at_v.get(c, 0)
+        after = before + delta
+        at_v[c] = after
+        cap = self.cap[v]
+        if (before >= cap) != (after >= cap):
+            self.full[v] ^= 1 << c
         slot = self.edges_at[v].setdefault(c, {})
         if adding:
             slot[eid] = None
@@ -429,7 +463,7 @@ class ColoringState(Generic[N]):
     # validation / export
     # ------------------------------------------------------------------
     def validate(self, require_complete: bool = False) -> None:
-        """Recompute all counts from scratch and compare.
+        """Recompute all counts and saturated masks from scratch and compare.
 
         Raises:
             ScheduleValidationError: on any inconsistency or capacity
@@ -459,6 +493,20 @@ class ColoringState(Generic[N]):
                         f"count drift at ({self.node_label(v)!r}, {c}): "
                         f"cached {self.count(v, c)}, real {n}"
                     )
+        for v in self.node_keys:
+            saturated = 0
+            for c, n in fresh.get(v, {}).items():
+                if n >= self.cap[v]:
+                    saturated |= 1 << c
+            drift = saturated ^ self.full[v]
+            if drift:
+                c = (drift & -drift).bit_length() - 1
+                real = "saturated" if saturated >> c & 1 else "free"
+                cached = "free" if real == "saturated" else "saturated"
+                raise ScheduleValidationError(
+                    f"mask drift at ({self.node_label(v)!r}, {c}): "
+                    f"cached {cached}, real {real}"
+                )
 
     def colors_used(self) -> int:
         return len(set(self.color.values()))
@@ -497,6 +545,8 @@ class ArrayColoringState(ColoringState[int]):
         self.color = {}
         self.counts = counts
         self.edges_at = edges_at
+        self.full = [0] * graph.num_nodes
+        self.node_keys = range(graph.num_nodes)
         self.uncolored = set(range(graph.num_edges))
         self._rng = random.Random(seed)
 

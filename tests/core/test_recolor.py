@@ -6,6 +6,8 @@ lowered graph, with labels and ids mapped to keys and results mapped
 back through ``edge_ids``.
 """
 
+import random
+
 import pytest
 
 from repro.core.errors import ScheduleValidationError
@@ -293,6 +295,131 @@ class TestPreload(LabelKeyed):
         assert [state_a.edge_id(e) for e in first] == [1]
 
 
+class TestValidate(LabelKeyed):
+    """``validate`` recounts the saturated-color masks too."""
+
+    MOVES = [("a", "b"), ("b", "c"), ("a", "c")]
+    CAPS = {"a": 1, "b": 2, "c": 1}
+
+    def test_fresh_masks_pass(self):
+        eids, _n, state = self.make_state(self.MOVES, self.CAPS, 2)
+        state.assign(eids[0], 1)
+        state.assign(eids[1], 1)
+        state.validate()
+
+    def test_cleared_mask_bit_names_node_and_color(self):
+        eids, n, state = self.make_state(self.MOVES, self.CAPS, 2)
+        state.assign(eids[0], 1)  # a-b: color 1 saturated at a (c=1)
+        state.full[n("a")] = 0
+        with pytest.raises(
+            ScheduleValidationError,
+            match=r"^mask drift at \('a', 1\): cached free, real saturated$",
+        ):
+            state.validate()
+
+    def test_spurious_mask_bit_names_node_and_color(self):
+        eids, n, state = self.make_state(self.MOVES, self.CAPS, 2)
+        state.assign(eids[0], 1)  # a-b: b holds one of two slots
+        state.full[n("b")] |= 1 << 1
+        with pytest.raises(
+            ScheduleValidationError,
+            match=r"^mask drift at \('b', 1\): cached saturated, real free$",
+        ):
+            state.validate()
+
+    def test_mask_drift_at_node_without_edges_colored(self):
+        _eids, n, state = self.make_state(self.MOVES, self.CAPS, 2)
+        state.full[n("c")] = 1
+        with pytest.raises(
+            ScheduleValidationError,
+            match=r"^mask drift at \('c', 0\): cached saturated, real free$",
+        ):
+            state.validate()
+
+
+class TestMaskDifferential(LabelKeyed):
+    """The mask-backed predicates against a count-by-count palette scan.
+
+    Seeded random sequences of every mutating operation run on graphs
+    with self-loops and ``c_v = 1`` nodes; after every step each
+    predicate must equal the reference reading of ``counts``.
+    """
+
+    NODES = ["a", "b", "c", "d", "e", "f"]
+
+    def random_state(self, rng):
+        g = Multigraph(nodes=self.NODES)
+        for _ in range(rng.randint(8, 24)):
+            u = rng.choice(self.NODES)
+            v = u if rng.random() < 0.15 else rng.choice(self.NODES)
+            g.add_edge(u, v)
+        caps = {v: rng.choice((1, 1, 2, 3)) for v in self.NODES}
+        state, _edge_key, _node_key = keyed_state(
+            self.key_space, g, caps, rng.randint(1, 4), seed=rng.randrange(100)
+        )
+        return state
+
+    @staticmethod
+    def reference_missing(state, v, c):
+        return state.count(v, c) < state.cap[v]
+
+    def reference_common(self, state, u, v):
+        for c in range(state.q):
+            if u == v:
+                if state.count(u, c) < state.cap[u] - 1:
+                    return c
+            elif self.reference_missing(state, u, c) and self.reference_missing(
+                state, v, c
+            ):
+                return c
+        return None
+
+    def check(self, state, nodes):
+        state.validate()
+        for v in nodes:
+            expect = [c for c in range(state.q) if self.reference_missing(state, v, c)]
+            assert state.missing_colors(v) == expect
+            for c in range(state.q + 1):
+                missing = self.reference_missing(state, v, c)
+                assert state.is_missing(v, c) is missing
+                assert state.is_saturated(v, c) is not missing
+            for u in nodes:
+                assert state.common_missing_color(u, v) == self.reference_common(
+                    state, u, v
+                )
+
+    def step(self, rng, state, nodes):
+        op = rng.randrange(6)
+        uncolored = sorted(state.uncolored)
+        if op == 0 and uncolored:
+            try:
+                state.assign(rng.choice(uncolored), rng.randrange(state.q))
+            except ScheduleValidationError:
+                pass
+        elif op == 1 and state.color:
+            state.unassign(rng.choice(sorted(state.color)))
+        elif op == 2:
+            a, b = rng.randrange(state.q), rng.randrange(state.q)
+            state.attempt_flip(rng.choice(nodes), a, b)
+        elif op == 3:
+            state.add_color()
+        elif op == 4 and uncolored:
+            picks = rng.sample(uncolored, rng.randint(1, len(uncolored)))
+            state.preload({e: rng.randrange(state.q + 1) for e in picks})
+        elif op == 5 and uncolored:
+            state.try_color_edge(rng.choice(uncolored))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_predicates_match_linear_scan(self, seed):
+        rng = random.Random(seed)
+        state = self.random_state(rng)
+        nodes = list(state.node_keys)
+        self.check(state, nodes)
+        for _ in range(60):
+            self.step(rng, state, nodes)
+            self.check(state, nodes)
+
+
 # ----------------------------------------------------------------------
 # The same tests on the index-keyed state.
 # ----------------------------------------------------------------------
@@ -322,4 +449,12 @@ class TestPaletteGrowthIndexKeyed(TestPaletteGrowth):
 
 
 class TestPreloadIndexKeyed(TestPreload):
+    key_space = "index"
+
+
+class TestValidateIndexKeyed(TestValidate):
+    key_space = "index"
+
+
+class TestMaskDifferentialIndexKeyed(TestMaskDifferential):
     key_space = "index"
