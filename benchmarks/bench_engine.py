@@ -1,11 +1,12 @@
 """EXP-ENGINE — raw-speed comparison of the two solver kernels.
 
 The flat CSR array kernels (:mod:`repro.graphs.array_backend` plus the
-``compact=`` kernels in the solver registry) exist purely for speed:
+kernels registered in the solver registry) exist purely for speed:
 each must produce the *same bytes* as its reference object kernel
 (`repro-migrate check --engine` proves that differentially) while
 solving large components many times faster.  This bench times the
-reference kernel (``spec.solve``) against the production solve path
+reference kernel (from :data:`repro.checks.engine.REFERENCE_KERNELS`)
+against the production solve path
 (:func:`repro.pipeline.parallel.backend_solver`, lowering cost
 included) for the solver ``repro.plan`` selects, on instances where
 the solve stage dominates:
@@ -41,6 +42,7 @@ from typing import Callable, Dict, Tuple
 
 from benchmarks.conftest import emit
 from repro.analysis.tables import Table
+from repro.checks.engine import REFERENCE_KERNELS
 from repro.core.problem import MigrationInstance
 from repro.pipeline.parallel import backend_solver
 from repro.pipeline.registry import select_solver
@@ -106,7 +108,7 @@ def run_case(case: BenchCase) -> Dict[str, object]:
     spec = select_solver(instance)
 
     start = time.perf_counter()
-    obj = spec.solve(instance, 0, None)
+    obj = REFERENCE_KERNELS[spec.name](instance, 0, None)
     object_seconds = time.perf_counter() - start
 
     start = time.perf_counter()

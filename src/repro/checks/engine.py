@@ -1,11 +1,13 @@
 """Differential engine-equivalence harness (array kernel vs reference).
 
-Every solver that registered a CSR array kernel
-(``register_solver(..., compact=...)``) keeps its object-engine
-function as the **reference** (``SolverSpec.solve``).  The solve stage
-only ever runs the production path,
+Three registered solvers run CSR array kernels: Theorem 4.1
+(``even_optimal``), the König special case (``bipartite_optimal``) and
+Theorem 5.1 (``general``).  Each keeps an object-engine function as its
+**reference**, listed once in :data:`REFERENCE_KERNELS`; nothing but
+this harness (and the test and bench code that reads the mapping)
+runs them.  The solve stage only ever runs the production path,
 :func:`repro.pipeline.parallel.backend_solver`, which lowers the
-instance once and runs the array kernel.  The kernel claims to be
+instance once and runs the registered kernel.  The kernel claims to be
 **byte-identical** to its reference — not "equally valid", the *same
 bytes*: same rounds in the same order, same method label.  That claim
 is what lets the reference stay the oracle for the array kernels.
@@ -14,10 +16,9 @@ This module proves the claim differentially instead of sampling it:
 for every instance in the generator corpus (all families:
 even-capacity, bipartite, clique, hotspot, regular, mixed
 multi-component), for each of its ``decompose`` components, and for
-every applicable registered solver with an array kernel, it runs
-``spec.solve(target, seed, None)`` and
-``backend_solver(spec, target)(seed, None)`` under multiple seeds and
-requires
+every applicable solver with a reference kernel, it runs the
+reference on the target and ``backend_solver(spec, target)(seed,
+None)`` under multiple seeds and requires
 
 * identical round lists (compared element by element, order included),
 * identical method labels,
@@ -33,12 +34,15 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.even_optimal import even_optimal_schedule
+from repro.core.general import GeneralSolverStats, general_schedule
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
+from repro.core.special_cases import bipartite_optimal_schedule
 from repro.pipeline.parallel import backend_solver
-from repro.pipeline.registry import SolverSpec, get_solver, solver_names
+from repro.pipeline.registry import SolverSpec, get_solver
 from repro.pipeline.stages import decompose
 from repro.workloads.generators import (
     bipartite_instance,
@@ -48,6 +52,21 @@ from repro.workloads.generators import (
     random_instance,
     regular_instance,
 )
+
+
+#: ``reference(instance, seed, stats)`` — an object-engine kernel.
+ReferenceFn = Callable[
+    [MigrationInstance, int, Optional[GeneralSolverStats]], MigrationSchedule
+]
+
+#: The object reference kernel of every registered solver that runs an
+#: array kernel, keyed by solver name in registration order.  The one
+#: place production solvers are paired with their references.
+REFERENCE_KERNELS: Dict[str, ReferenceFn] = {
+    "even_optimal": lambda inst, seed, stats: even_optimal_schedule(inst),
+    "bipartite_optimal": lambda inst, seed, stats: bipartite_optimal_schedule(inst),
+    "general": general_schedule,
+}
 
 
 @dataclass(frozen=True)
@@ -147,9 +166,8 @@ DEFAULT_CORPUS: Tuple[Tuple[str, str, Callable[[], MigrationInstance]], ...] = (
 
 
 def kernel_specs() -> Tuple[SolverSpec, ...]:
-    """Every registered solver with an array kernel, in registration order."""
-    specs = (get_solver(name) for name in solver_names())
-    return tuple(spec for spec in specs if spec.solve_compact is not None)
+    """Every registered solver with a reference kernel, in registration order."""
+    return tuple(get_solver(name) for name in REFERENCE_KERNELS)
 
 
 def engine_targets(
@@ -180,7 +198,7 @@ def compare_kernels(
     for label, target in targets:
         if not spec.applicable(target):
             continue
-        ref = spec.solve(target, seed, None)
+        ref = REFERENCE_KERNELS[spec.name](target, seed, None)
         prod = backend_solver(spec, target)(seed, None)
         problems.extend(f"{label}: {p}" for p in _diff_schedules(ref, prod))
         digests.append(schedule_digest(prod.rounds))
@@ -273,7 +291,6 @@ def compare_exact_vs_heuristic(name: str, instance: MigrationInstance) -> Engine
         verify_certificate,
         verify_optimality_certificate,
     )
-    from repro.core.general import general_schedule
     from repro.exact.search import solve_exact
 
     res = solve_exact(instance)

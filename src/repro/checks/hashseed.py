@@ -117,8 +117,9 @@ sys.stdout.write(run_campaign(config).canonical_json())
 """
 
 
-#: Runs one solver's reference kernel (``spec.solve``) and its
-#: production path (``backend_solver``, the array kernel) on the same
+#: Runs one solver's reference kernel (from
+#: :data:`repro.checks.engine.REFERENCE_KERNELS`) and its production
+#: path (``backend_solver``, the array kernel) on the same
 #: instance, fails if they diverge in-process, and prints the
 #: production schedule canonically — so the engine-equivalence
 #: contract is also checked *across* hash seeds (both kernels must be
@@ -126,6 +127,7 @@ sys.stdout.write(run_campaign(config).canonical_json())
 #: argv: num_disks num_items instance_seed method
 ENGINE_DRIVER = """\
 import json, sys
+from repro.checks.engine import REFERENCE_KERNELS
 from repro.pipeline.parallel import backend_solver
 from repro.pipeline.registry import get_solver
 from repro.workloads import random_instance
@@ -136,7 +138,7 @@ instance = random_instance(
     num_disks, num_items, capacities={1: 0.3, 2: 0.4, 4: 0.3},
     seed=instance_seed,
 )
-ref = spec.solve(instance, 0, None)
+ref = REFERENCE_KERNELS[spec.name](instance, 0, None)
 prod = backend_solver(spec, instance)(0, None)
 if ref.rounds != prod.rounds or ref.method != prod.method:
     sys.exit("array kernel diverged from its reference kernel")

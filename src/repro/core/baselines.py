@@ -16,55 +16,31 @@
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
+from repro.core.even_optimal import even_optimal_schedule_compact
 from repro.core.problem import MigrationInstance
 from repro.core.recolor import ColoringState
 from repro.core.schedule import MigrationSchedule
+from repro.graphs.array_backend import lower_instance
 from repro.graphs.coloring.euler_split import euler_split_coloring
 from repro.graphs.coloring.kempe import kempe_coloring
-from repro.graphs.multigraph import EdgeId, Multigraph, Node
+from repro.graphs.multigraph import split_by_capacity
 
 
-def saia_schedule(instance: MigrationInstance, use_euler_split: bool = True) -> MigrationSchedule:
+def saia_schedule(instance: MigrationInstance) -> MigrationSchedule:
     """Saia's copy-split 1.5-approximation baseline."""
     if instance.num_items == 0:
         return MigrationSchedule([], method="saia")
-    split, edge_map = _split_by_capacity(instance)
+    split, edge_map = split_by_capacity(instance.graph, instance.capacity)
     coloring = kempe_coloring(split)
-    if use_euler_split:
-        alternative = euler_split_coloring(split)
-        if len(set(alternative.values())) < len(set(coloring.values())):
-            coloring = alternative
+    alternative = euler_split_coloring(split)
+    if len(set(alternative.values())) < len(set(coloring.values())):
+        coloring = alternative
     original = {eid: coloring[seid] for eid, seid in edge_map.items()}
     schedule = MigrationSchedule.from_coloring(original, method="saia")
     schedule.validate(instance)
     return schedule
-
-
-def _split_by_capacity(
-    instance: MigrationInstance,
-) -> Tuple[Multigraph, Dict[EdgeId, EdgeId]]:
-    """Copy each node ``c_v`` times and spread its edges round-robin.
-
-    Returns the split multigraph and the original->split edge id map.
-    Each copy of ``v`` receives at most ``ceil(d_v / c_v)`` edges, so
-    the split graph's max degree is exactly ``Δ'``.
-    """
-    split = Multigraph()
-    cursor: Dict[Node, int] = {}
-    for v in instance.graph.nodes:
-        cursor[v] = 0
-        for k in range(instance.capacity(v)):
-            split.add_node((v, k))
-    edge_map: Dict[EdgeId, EdgeId] = {}
-    for eid, u, v in instance.graph.edges():
-        cu = (u, cursor[u] % instance.capacity(u))
-        cv = (v, cursor[v] % instance.capacity(v))
-        cursor[u] += 1
-        cursor[v] += 1
-        edge_map[eid] = split.add_edge(cu, cv)
-    return split, edge_map
 
 
 def homogeneous_schedule(instance: MigrationInstance) -> MigrationSchedule:
@@ -105,10 +81,8 @@ def even_rounding_schedule(instance: MigrationInstance) -> MigrationSchedule:
                 f"disk {v!r} has c_v = 1; even-rounding needs c_v >= 2"
             )
         reduced[v] = c if c % 2 == 0 else c - 1
-    from repro.core.even_optimal import even_optimal_schedule
-
     reduced_instance = MigrationInstance(instance.graph.copy(), reduced)
-    schedule = even_optimal_schedule(reduced_instance)
+    schedule = even_optimal_schedule_compact(lower_instance(reduced_instance))
     relabeled = MigrationSchedule(schedule.rounds, method="even_rounding")
     relabeled.validate(instance)
     return relabeled

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.core.lower_bounds import lower_bound
 from repro.core.orbits import (
@@ -53,7 +53,7 @@ from repro.core.recolor import ArrayColoringState, ColoringState, N
 from repro.core.schedule import MigrationSchedule
 from repro.graphs.array_backend import CompactInstance, lift_coloring
 from repro.graphs.coloring.vizing import vizing_coloring
-from repro.graphs.multigraph import EdgeId, Multigraph, Node
+from repro.graphs.multigraph import EdgeId, Multigraph, split_by_capacity
 
 
 @dataclass
@@ -248,21 +248,6 @@ def _phase2_color_residual(
     Returns colors in a fresh palette ``0..Δ(split)`` which the caller
     offsets above Phase 1's palette.
     """
-    split = Multigraph()
-    copy_of_edge: Dict[EdgeId, Tuple[Tuple[Node, int], Tuple[Node, int]]] = {}
-    cursor: Dict[Node, int] = {}
-    for v in residual.nodes:
-        cursor[v] = 0
-        for k in range(instance.capacity(v)):
-            split.add_node((v, k))
-
-    split_eid_of: Dict[EdgeId, int] = {}
-    for eid, u, v in residual.edges():
-        cu = (u, cursor[u] % instance.capacity(u))
-        cv = (v, cursor[v] % instance.capacity(v))
-        cursor[u] += 1
-        cursor[v] += 1
-        split_eid_of[eid] = split.add_edge(cu, cv)
-
+    split, split_eid_of = split_by_capacity(residual, instance.capacity)
     split_coloring = vizing_coloring(split)
     return {eid: split_coloring[seid] for eid, seid in split_eid_of.items()}

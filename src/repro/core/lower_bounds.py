@@ -229,15 +229,13 @@ def _peel(
     return best_subset, best
 
 
-def lower_bound(instance: MigrationInstance, exact_small: bool = True) -> int:
+def lower_bound(instance: MigrationInstance) -> int:
     """``max(LB1, LB2)`` — the certified lower bound used everywhere.
 
-    Args:
-        exact_small: when the graph has at most
-            :data:`EXACT_LB2_NODE_LIMIT` nodes, compute LB2 exactly
-            instead of heuristically.
+    LB2 is exact when the graph has at most :data:`EXACT_LB2_NODE_LIMIT`
+    nodes and heuristic otherwise.
     """
-    if exact_small and instance.graph.num_nodes <= EXACT_LB2_NODE_LIMIT:
+    if instance.graph.num_nodes <= EXACT_LB2_NODE_LIMIT:
         gamma = lb2_exact(instance, max_nodes=EXACT_LB2_NODE_LIMIT)
     else:
         gamma = lb2(instance)

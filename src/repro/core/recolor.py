@@ -67,7 +67,7 @@ from repro.graphs.array_backend import CompactGraph
 from repro.graphs.multigraph import EdgeId, Multigraph, Node
 
 # Budget of (a, b) pairs tried by try_color_edge before giving up.
-DEFAULT_PAIR_BUDGET = 32
+PAIR_BUDGET = 32
 # Hard cap on alternating-walk length, as a multiple of |E|.
 _WALK_CAP_FACTOR = 2
 
@@ -387,9 +387,7 @@ class ColoringState(Generic[N]):
             self._recolor(eid, new)
         return True
 
-    def try_color_edge(
-        self, eid: EdgeId, pair_budget: int = DEFAULT_PAIR_BUDGET
-    ) -> bool:
+    def try_color_edge(self, eid: EdgeId) -> bool:
         """Color one uncolored edge, flipping ab-paths if necessary.
 
         Implements the operational content of Lemmas 5.1–5.2: first
@@ -411,7 +409,7 @@ class ColoringState(Generic[N]):
             return False
         pairs = [(a, b) for a in miss_u for b in miss_v if a != b]
         self._rng.shuffle(pairs)
-        for a, b in pairs[:pair_budget]:
+        for a, b in pairs[:PAIR_BUDGET]:
             # Free color a at v by flipping an a-walk at v into b — or
             # free b at u symmetrically; whichever works first.
             if self.is_saturated(v, a) and self.attempt_flip(v, a, b):

@@ -1,29 +1,27 @@
-"""Optimal schedulers for special transfer-graph classes.
+"""Optimal scheduler for bipartite transfer graphs.
 
 Coffman et al. (cited in Section I) solved several transfer-graph
 classes optimally in the multi-transfer model; this module reproduces
-the two classes that matter most in practice, for *arbitrary* (odd or
-even) transfer constraints:
+the one that matters most in practice, for *arbitrary* (odd or even)
+transfer constraints: **bipartite transfer graphs** — the
+disk-addition/removal shape (old disks send, new disks receive), and
+every forest (hierarchical replication topologies).  Split every node
+``v`` into ``c_v`` copies and spread its edges evenly: each copy has
+degree at most ``Δ' = max_v ceil(d_v/c_v)``, the split graph is still
+bipartite, and König's edge-coloring theorem colors it with exactly its
+max degree.  Contracting copies yields a ``Δ'``-round schedule —
+optimal, since ``Δ' = LB1`` is a lower bound.
 
-* **Bipartite transfer graphs** — the disk-addition/removal shape (old
-  disks send, new disks receive).  Split every node ``v`` into ``c_v``
-  copies and spread its edges evenly: each copy has degree at most
-  ``Δ' = max_v ceil(d_v/c_v)``, the split graph is still bipartite, and
-  König's edge-coloring theorem colors it with exactly its max degree.
-  Contracting copies yields a ``Δ'``-round schedule — optimal, since
-  ``Δ' = LB1`` is a lower bound.
-* **Forests** — trees are bipartite, so the same argument applies; the
-  entry point exists separately because detection is cheaper and the
-  class is common (hierarchical replication topologies).
-
-These beat the general Section V algorithm's guarantee (they are
-*exactly* optimal), so :func:`repro.plan` in ``auto`` mode prefers
-them on every component whose transfer graph qualifies.
+This beats the general Section V algorithm's guarantee (it is
+*exactly* optimal), so :func:`repro.plan` in ``auto`` mode prefers it
+on every component whose transfer graph qualifies.
+:func:`bipartite_optimal_schedule_compact` is the kernel the solve
+stage runs; :func:`bipartite_optimal_schedule` is its object reference.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Tuple
 
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
@@ -35,7 +33,7 @@ from repro.graphs.coloring.bipartite import (
     compact_bipartite_sides,
     compact_konig_coloring,
 )
-from repro.graphs.multigraph import EdgeId, Multigraph, Node
+from repro.graphs.multigraph import split_by_capacity
 
 
 def is_bipartite_instance(instance: MigrationInstance) -> bool:
@@ -44,34 +42,6 @@ def is_bipartite_instance(instance: MigrationInstance) -> bool:
         bipartite_sides(instance.graph)
     except NotBipartiteError:
         return False
-    return True
-
-
-def is_forest_instance(instance: MigrationInstance) -> bool:
-    """True iff the transfer graph is a forest (no cycles, no parallels)."""
-    graph = instance.graph
-    if graph.max_multiplicity() > 1:
-        return False
-    seen: Set[Node] = set()
-    for start in graph.nodes:
-        if start in seen:
-            continue
-        # BFS counting edges: a component with e >= n has a cycle.
-        comp_nodes = 0
-        comp_edges = 0
-        stack = [start]
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            comp_nodes += 1
-            for eid in graph.incident_edges(x):
-                comp_edges += 1
-                y = graph.other_endpoint(eid, x)
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if comp_edges // 2 >= comp_nodes:
-            return False
     return True
 
 
@@ -88,7 +58,7 @@ def bipartite_optimal_schedule(instance: MigrationInstance) -> MigrationSchedule
     if instance.num_items == 0:
         return MigrationSchedule([], method="bipartite_optimal")
 
-    split, edge_map = _split_evenly(instance)
+    split, edge_map = split_by_capacity(instance.graph, instance.capacity)
     coloring = bipartite_coloring(split)
     original = {eid: coloring[seid] for eid, seid in edge_map.items()}
     schedule = MigrationSchedule.from_coloring(original, method="bipartite_optimal")
@@ -146,40 +116,3 @@ def bipartite_optimal_schedule_compact(ci: CompactInstance) -> MigrationSchedule
         "König contraction must land exactly on Δ'"
     )
     return schedule
-
-
-def _split_evenly(
-    instance: MigrationInstance,
-) -> Tuple[Multigraph, Dict[EdgeId, EdgeId]]:
-    """Split ``v`` into ``c_v`` copies, spreading edges round-robin.
-
-    Copy degrees are ``<= ceil(d_v / c_v) <= Δ'``, and splitting
-    preserves bipartiteness (copies inherit their original's side).
-    """
-    split = Multigraph()
-    cursor: Dict[Node, int] = {}
-    for v in instance.graph.nodes:
-        cursor[v] = 0
-        for k in range(instance.capacity(v)):
-            split.add_node((v, k))
-    edge_map: Dict[EdgeId, EdgeId] = {}
-    for eid, u, v in instance.graph.edges():
-        cu = (u, cursor[u] % instance.capacity(u))
-        cv = (v, cursor[v] % instance.capacity(v))
-        cursor[u] += 1
-        cursor[v] += 1
-        edge_map[eid] = split.add_edge(cu, cv)
-    return split, edge_map
-
-
-def try_special_case_schedule(
-    instance: MigrationInstance,
-) -> Optional[MigrationSchedule]:
-    """Return an optimal schedule if the instance is a special class.
-
-    Checks bipartiteness (which subsumes forests); returns None when
-    the instance needs the general machinery.
-    """
-    if is_bipartite_instance(instance):
-        return bipartite_optimal_schedule(instance)
-    return None

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.graphs.array_backend import CompactGraph
 from repro.graphs.multigraph import EdgeId, Multigraph, Node
 
 
@@ -175,13 +174,6 @@ def compact_euler_orientation(
             tail[e] = u
             head[e] = v
     return order, tail, head
-
-
-def euler_circuits_of(graph: CompactGraph) -> List[List[Tuple[int, int, int]]]:
-    """:func:`compact_euler_circuits` over a :class:`CompactGraph`."""
-    return compact_euler_circuits(
-        graph.indptr, graph.inc_edge, graph.inc_other, graph.degree, graph.num_edges
-    )
 
 
 def euler_orientation(graph: Multigraph) -> Dict[EdgeId, Tuple[Node, Node]]:

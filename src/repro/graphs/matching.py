@@ -424,27 +424,3 @@ class QuotaPeeler:
             retired[k] = 1
         self._retired_total += len(picked_pos)
         return picked_pos.tolist()
-
-
-def maximum_bipartite_matching(
-    edges: Sequence[Tuple[Node, Node]]
-) -> List[int]:
-    """Maximum cardinality matching of a bipartite edge list.
-
-    A thin convenience built on the same flow core (quota 1 per node,
-    but quotas need not be met exactly).  Returns selected edge
-    indices.
-    """
-    net = FlowNetwork()
-    source, sink = ("__source__",), ("__sink__",)
-    # Sorted so network construction (and thus the returned matching)
-    # does not depend on hash randomization.
-    lefts = sorted({u for u, _ in edges}, key=repr)
-    rights = sorted({v for _, v in edges}, key=repr)
-    for left in lefts:
-        net.add_edge(source, ("L", left), 1)
-    for right in rights:
-        net.add_edge(("R", right), sink, 1)
-    handles = [net.add_edge(("L", u), ("R", v), 1) for u, v in edges]
-    net.max_flow(source, sink)
-    return [i for i, h in enumerate(handles) if net.flow_on(h) == 1]

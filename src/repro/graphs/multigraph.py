@@ -39,7 +39,18 @@ plan cache):
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 Node = Hashable
 EdgeId = int
@@ -337,3 +348,31 @@ class Multigraph:
 
     def __repr__(self) -> str:
         return f"Multigraph(nodes={self.num_nodes}, edges={self.num_edges})"
+
+
+def split_by_capacity(
+    graph: Multigraph, capacity: Callable[[Node], int]
+) -> Tuple[Multigraph, Dict[EdgeId, EdgeId]]:
+    """Copy each node ``v`` ``capacity(v)`` times, spreading its edges.
+
+    Copies ``(v, 0), …, (v, c_v - 1)`` are added in node order, and the
+    ``i``-th edge at ``v`` (in ``edges()`` order) lands on copy
+    ``(v, i mod c_v)``.  Each copy therefore has degree at most
+    ``ceil(d_v / c_v)``, and a bipartite graph stays bipartite (copies
+    inherit their original's side).  Returns the split multigraph and
+    the original -> split edge id map.
+    """
+    split = Multigraph()
+    cursor: Dict[Node, int] = {}
+    for v in graph.nodes:
+        cursor[v] = 0
+        for k in range(capacity(v)):
+            split.add_node((v, k))
+    edge_map: Dict[EdgeId, EdgeId] = {}
+    for eid, u, v in graph.edges():
+        cu = (u, cursor[u] % capacity(u))
+        cv = (v, cursor[v] % capacity(v))
+        cursor[u] += 1
+        cursor[v] += 1
+        edge_map[eid] = split.add_edge(cu, cv)
+    return split, edge_map

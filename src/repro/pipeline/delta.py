@@ -19,9 +19,10 @@ graph into one of three **dispositions**:
   palette at most to the Theorem 5.1 yardstick
   ``Δ' + 2·⌈√Δ'⌉ + 2``;
 * ``resolved`` — the patch would exceed that degree bound (or no edge
-  survived, or the component cannot be tokenized): fall back to the
-  exact per-component solve path of ``plan()``, byte-identical to a
-  cold solve by construction (fingerprint-derived seeds).
+  survived, or the component cannot be tokenized): fall back to
+  ``plan()``'s own solve helper, byte-identical to a cold solve by
+  construction (fingerprint-derived seeds), with the same
+  ``pipeline.solve`` span and ``solver_profile`` entry per component.
 
 Every outcome is written through the :class:`PlanCache` under the same
 ``(fingerprint, solver, seed)`` key ``plan()`` uses, so
@@ -39,8 +40,10 @@ cache state changes only how much work is done, never the output
 bytes.  The patch path runs the general solver's recoloring engine
 keyed by node labels and edge ids — a
 :class:`~repro.core.recolor.ColoringState` over the component's
-``Multigraph`` (warm starts are not a solver kernel); fallback
-re-solves run the same solve path as ``plan()``.
+``Multigraph`` (warm starts are not a solver kernel).  Seed derivation,
+plan-cache hits and fallback re-solves go through the same helpers as
+``plan()`` (:func:`repro.pipeline.planner._serve_cached` and
+:func:`repro.pipeline.planner._solve_misses`).
 """
 
 from __future__ import annotations
@@ -62,13 +65,18 @@ from repro.pipeline.canonical import (
     TokenRounds,
     _pair_slots,
     canonicalize_rounds,
-    derive_component_seed,
     derive_patch_seed,
-    rehydrate_rounds,
     reprs_unambiguous,
 )
-from repro.pipeline.parallel import SolveOutcome, backend_solver, solve_job
-from repro.pipeline.planner import PlanResult, _certify, _merge_components, _stage
+from repro.pipeline.parallel import SolveOutcome, backend_solver
+from repro.pipeline.planner import (
+    PlanResult,
+    _certify,
+    _merge_components,
+    _serve_cached,
+    _solve_misses,
+    _stage,
+)
 from repro.pipeline.registry import select_solver
 from repro.pipeline.stages import decompose
 
@@ -126,7 +134,7 @@ def _patch_component(
     order via ab-path flips, adding colors only when flips fail and
     never past ``max(q₀, Δ' + 2·⌈√Δ'⌉ + 2)``.
 
-    Returns ``((token rounds, "patch"), recolored edges)`` on success,
+    Returns ``((token rounds, "patch", None), recolored edges)`` on success,
     ``(None, 0)`` when the degree bound would be exceeded (the caller
     falls back to a full re-solve).
     """
@@ -145,7 +153,10 @@ def _patch_component(
             state.add_color()
     schedule = MigrationSchedule.from_coloring(state.color, method=PATCH_METHOD)
     schedule.validate(instance)
-    return (canonicalize_rounds(instance, schedule.rounds), PATCH_METHOD), len(todo)
+    return (
+        (canonicalize_rounds(instance, schedule.rounds), PATCH_METHOD, None),
+        len(todo),
+    )
 
 
 def plan_delta(
@@ -243,35 +254,23 @@ def plan_delta(
             with _stage(tr, result, "select"):
                 selections = [select_solver(comp.instance) for comp in components]
 
-            outcomes: List[Optional[SolveOutcome]] = [None] * len(components)
-            dispositions = [DISPOSITION_RESOLVED] * len(components)
-            cached_flags = [False] * len(components)
-            seeds: List[int] = []
-
             with _stage(tr, result, "patch"):
-                for k, (comp, spec) in enumerate(zip(components, selections)):
+                # 1. live plan-cache entry — same key plan() uses.
+                seeds, outcomes = _serve_cached(components, selections, seed, cache, tr)
+                cached_flags = [outcome is not None for outcome in outcomes]
+                dispositions = [
+                    DISPOSITION_REUSED if cached else DISPOSITION_RESOLVED
+                    for cached in cached_flags
+                ]
+                for k, comp in enumerate(components):
                     fp = comp.fingerprint
-                    comp_seed = (
-                        derive_component_seed(seed, fp) if fp is not None else seed
-                    )
-                    seeds.append(comp_seed)
-                    comp_slots: Optional[Dict[EdgeId, PairToken]] = None
-
-                    # 1. live plan-cache entry — same key plan() uses.
-                    if cache is not None and fp is not None:
-                        hit = cache.get_plan(fp, spec.name, seed)
-                        if hit is not None:
-                            outcomes[k] = (hit.rounds, hit.method)
-                            dispositions[k] = DISPOSITION_REUSED
-                            cached_flags[k] = True
-                            tr.count(names.PLAN_CACHE_HITS)
-                            continue
-                        tr.count(names.PLAN_CACHE_MISSES)
+                    if outcomes[k] is not None or not tokens_safe or fp is None:
+                        continue
+                    comp_slots = _pair_slots(comp.instance)
 
                     # 2. structurally unchanged component — the prior
                     #    coloring transfers wholesale through tokens.
-                    if tokens_safe and fp is not None and fp in prior_method:
-                        comp_slots = _pair_slots(comp.instance)
+                    if fp in prior_method:
                         by_color: Dict[int, List[PairToken]] = {}
                         complete = True
                         for token in comp_slots.values():
@@ -288,34 +287,34 @@ def plan_delta(
                             tokens: TokenRounds = tuple(
                                 tuple(sorted(by_color[c])) for c in sorted(by_color)
                             )
-                            outcomes[k] = (tokens, prior_method[fp])
+                            outcomes[k] = (tokens, prior_method[fp], None)
                             dispositions[k] = DISPOSITION_REUSED
                             continue
 
                     # 3. edge-level patch around the surviving edges.
-                    if tokens_safe and fp is not None:
-                        if comp_slots is None:
-                            comp_slots = _pair_slots(comp.instance)
-                        survivors = {
-                            eid: prior_token_color[token]
-                            for eid, token in comp_slots.items()
-                            if token in prior_token_color
-                        }
-                        if survivors:
-                            outcome, recolored = _patch_component(
-                                comp.instance, survivors, derive_patch_seed(seed, fp)
-                            )
-                            if outcome is not None:
-                                outcomes[k] = outcome
-                                dispositions[k] = DISPOSITION_PATCHED
-                                result.patched_edges += recolored
-                                continue
-                            result.fallbacks += 1
-                            tr.count(names.DELTA_PATCH_FALLBACKS)
+                    survivors = {
+                        eid: prior_token_color[token]
+                        for eid, token in comp_slots.items()
+                        if token in prior_token_color
+                    }
+                    if survivors:
+                        outcome, recolored = _patch_component(
+                            comp.instance, survivors, derive_patch_seed(seed, fp)
+                        )
+                        if outcome is not None:
+                            outcomes[k] = outcome
+                            dispositions[k] = DISPOSITION_PATCHED
+                            result.patched_edges += recolored
+                            continue
+                        result.fallbacks += 1
+                        tr.count(names.DELTA_PATCH_FALLBACKS)
 
-                    # 4. full per-component re-solve — byte-identical
-                    #    to plan()'s cold path (same job, same seed).
-                    outcomes[k] = solve_job((comp.instance, spec.name, comp_seed))
+                # 4. full per-component re-solve through plan()'s solve
+                #    helper — byte-identical to plan()'s cold path (same
+                #    job, same seed), with the same spans and profile.
+                _solve_misses(
+                    components, selections, seeds, outcomes, False, None, result, tr
+                )
 
                 reused = dispositions.count(DISPOSITION_REUSED)
                 patched_n = dispositions.count(DISPOSITION_PATCHED)

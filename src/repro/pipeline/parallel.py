@@ -10,7 +10,9 @@ built for determinism:
   processes never consult shared or ambient randomness;
 * results return as canonical pair tokens, the exact representation
   the serial path round-trips through, so a pooled schedule is
-  byte-identical to a serial one;
+  byte-identical to a serial one; a general solve's
+  :class:`~repro.core.general.GeneralSolverStats` rides along, so
+  pooled solves report the same diagnostics as serial ones;
 * ``ProcessPoolExecutor.map`` preserves submission order, so the
   caller reassembles results by component index, never by completion
   order.
@@ -43,8 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: One unit of work: (component instance, method name, seed).
 SolveJob = Tuple[MigrationInstance, str, int]
 
-#: One result: (canonical rounds, method label the solver reported).
-SolveOutcome = Tuple[TokenRounds, str]
+#: One result: (canonical rounds, method label the solver reported,
+#: diagnostics of a general solve's first attempt or ``None``).
+SolveOutcome = Tuple[TokenRounds, str, Optional[GeneralSolverStats]]
 
 #: Extra seeds tried when a randomized solver lands above a component's
 #: lower bound.  Affordable precisely *because* of decomposition: a
@@ -59,32 +62,29 @@ def backend_solver(
 ) -> Callable[[int, Optional[GeneralSolverStats]], MigrationSchedule]:
     """Bind ``spec`` to ``instance``: the production solve path.
 
-    When the solver registered a CSR array kernel the component is
-    lowered onto the array representation exactly once — restart
-    attempts reuse the lowered arrays — and the kernel runs; otherwise
-    ``spec.solve`` runs.  The returned callable has the ``(seed,
-    stats)`` solver signature.
+    The component is lowered onto the CSR array representation exactly
+    once — restart attempts reuse the lowered arrays — and the returned
+    callable, with the ``(seed, stats)`` solver signature, runs
+    ``spec.solve`` on them.
     """
-    compact = spec.solve_compact
-    if compact is not None:
-        lowered = lower_instance(instance)
+    lowered = lower_instance(instance)
 
-        def solve_array(
-            seed: int, stats: Optional[GeneralSolverStats]
-        ) -> MigrationSchedule:
-            return compact(lowered, seed, stats)
+    def solve(seed: int, stats: Optional[GeneralSolverStats]) -> MigrationSchedule:
+        return spec.solve(lowered, seed, stats)
 
-        return solve_array
-
-    def solve_object(
-        seed: int, stats: Optional[GeneralSolverStats]
-    ) -> MigrationSchedule:
-        return spec.solve(instance, seed, stats)
-
-    return solve_object
+    return solve
 
 
-def solve_job(job: SolveJob, stats: Optional[GeneralSolverStats] = None) -> SolveOutcome:
+def solver_stats(spec: "SolverSpec") -> Optional[GeneralSolverStats]:
+    """A fresh diagnostics record for a general solve, else ``None``.
+
+    Randomized non-optimal solvers (the general algorithm) fill a
+    :class:`GeneralSolverStats`; every other solver ignores it.
+    """
+    return GeneralSolverStats() if spec.randomized and not spec.optimal else None
+
+
+def solve_job(job: SolveJob) -> SolveOutcome:
     """Solve one component and return its canonical schedule.
 
     Module-level (not a closure) so it pickles under every
@@ -94,29 +94,26 @@ def solve_job(job: SolveJob, stats: Optional[GeneralSolverStats] = None) -> Solv
     Randomized non-optimal solvers (the general algorithm) whose first
     schedule exceeds the component's lower bound are restarted up to
     :data:`GENERAL_SOLVE_RESTARTS` times with deterministically derived
-    seeds, keeping the shortest schedule.  Restart attempts run with
-    private diagnostics, so a caller-provided ``stats`` describes the
-    first solve only.
+    seeds, keeping the shortest schedule.  The returned stats describe
+    the first attempt; restarts run without diagnostics.
     """
     instance, method, seed = job
     from repro.pipeline.registry import get_solver
 
     spec = get_solver(method)
     solve = backend_solver(spec, instance)
-    run_stats = stats
-    if run_stats is None and spec.randomized and not spec.optimal:
-        run_stats = GeneralSolverStats()
-    schedule = solve(seed, run_stats)
+    stats = solver_stats(spec)
+    schedule = solve(seed, stats)
     schedule.validate(instance)
-    if spec.randomized and not spec.optimal and run_stats is not None:
+    if stats is not None:
         for attempt in range(1, GENERAL_SOLVE_RESTARTS + 1):
-            if schedule.num_rounds <= run_stats.lower_bound:
+            if schedule.num_rounds <= stats.lower_bound:
                 break
             alt = solve(derive_restart_seed(seed, attempt), None)
             if alt.num_rounds < schedule.num_rounds:
                 alt.validate(instance)
                 schedule = alt
-    return canonicalize_rounds(instance, schedule.rounds), schedule.method
+    return canonicalize_rounds(instance, schedule.rounds), schedule.method, stats
 
 
 def solve_jobs(

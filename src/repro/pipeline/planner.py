@@ -33,9 +33,15 @@ A forced ``method=`` (anything but ``"auto"``) solves monolithically:
 forcing a method means "run this algorithm on this instance", and
 baselines keep their comparative meaning.
 
-Every solve runs :func:`repro.pipeline.parallel.backend_solver`: the
-solver's CSR array kernel when it registered one, its reference
-object kernel otherwise.
+Every solve runs :func:`repro.pipeline.parallel.backend_solver`, which
+lowers the component to CSR arrays once and runs the solver's one
+registered kernel.  ``plan`` and ``plan_delta`` share the solve stage
+itself: :func:`_serve_cached` derives component seeds and serves
+plan-cache hits, :func:`_solve_misses` solves the rest (one span and
+one ``solver_profile`` entry per in-process job, or the pool), and
+:func:`_merge_components` writes through and merges.  A general
+solve's :class:`~repro.core.general.GeneralSolverStats` reaches
+:attr:`ComponentPlan.stats`.
 """
 
 from __future__ import annotations
@@ -64,13 +70,13 @@ from repro.pipeline.parallel import (
     backend_solver,
     solve_job,
     solve_jobs,
+    solver_stats,
 )
 from repro.pipeline.registry import SolverSpec, get_solver, select_solver
 from repro.pipeline.stages import (
     Component,
     decompose,
     merge,
-    merged_method_name,
     normalize,
 )
 
@@ -94,6 +100,10 @@ class ComponentPlan:
     seed: int
     cached: bool
     fingerprint: Optional[str]
+    #: diagnostics of a general solve's first attempt, pooled solves
+    #: included; ``None`` for cache hits, reused or patched components
+    #: and every other solver.
+    stats: Optional[GeneralSolverStats] = None
 
 
 @dataclass
@@ -203,7 +213,6 @@ def plan(
     instance: MigrationInstance,
     method: str = "auto",
     seed: int = 0,
-    stats: Optional[GeneralSolverStats] = None,
     *,
     cache: Optional[PlanCache] = None,
     parallel: Union[bool, str] = False,
@@ -228,11 +237,6 @@ def plan(
         seed: base randomness seed.  Component solves draw from seeds
             derived per component fingerprint, so unchanged components
             reproduce their schedules across replans.
-        stats: optional :class:`GeneralSolverStats`, filled by general
-            solves.  Providing it disables caching and parallelism for
-            this call (diagnostics require an in-process solve); under
-            ``"auto"`` with several general components the counters
-            accumulate and the scalar fields reflect the last one.
         cache: optional :class:`PlanCache` consulted and populated per
             component (and per bound when certifying).
         parallel: ``False`` (serial), ``True`` (always pool when ≥ 2
@@ -267,9 +271,6 @@ def plan(
         instance=instance,
         seed=seed,
     )
-    if stats is not None:
-        cache = None
-        parallel = False
     tr = ensure_tracer(tracer)
     obj = objective if objective is not None else instance.objective
 
@@ -280,9 +281,9 @@ def plan(
         if obj.kind != "makespan":
             _plan_objective(instance, obj, method, result, tr)
         elif method != "auto":
-            _plan_forced(instance, method, seed, stats, cache, result, tr)
+            _plan_forced(instance, method, seed, cache, result, tr)
         else:
-            _plan_auto(instance, seed, stats, cache, parallel, workers, result, tr)
+            _plan_auto(instance, seed, cache, parallel, workers, result, tr)
 
         with _stage(tr, result, "certify"):
             result.schedule.validate(instance)
@@ -309,7 +310,6 @@ def _plan_forced(
     instance: MigrationInstance,
     method: str,
     seed: int,
-    stats: Optional[GeneralSolverStats],
     cache: Optional[PlanCache],
     result: PlanResult,
     tracer: Tracer,
@@ -319,6 +319,7 @@ def _plan_forced(
         fp = fingerprint(instance)
         cached = False
         schedule: Optional[MigrationSchedule] = None
+        stats: Optional[GeneralSolverStats] = None
         if cache is not None and fp is not None:
             hit = cache.get_plan(fp, spec.name, seed)
             if hit is not None:
@@ -330,6 +331,7 @@ def _plan_forced(
             else:
                 tracer.count(names.PLAN_CACHE_MISSES)
         if schedule is None:
+            stats = solver_stats(spec)
             with tracer.span(names.SPAN_SOLVE, method=spec.name, component=0):
                 watch = Stopwatch()
                 with watch:
@@ -359,6 +361,7 @@ def _plan_forced(
             seed=seed,
             cached=cached,
             fingerprint=fp,
+            stats=stats,
         )
     ]
 
@@ -440,7 +443,6 @@ def _certify_objective(instance: MigrationInstance, result: PlanResult) -> None:
 def _plan_auto(
     instance: MigrationInstance,
     seed: int,
-    stats: Optional[GeneralSolverStats],
     cache: Optional[PlanCache],
     parallel: Union[bool, str],
     workers: Optional[int],
@@ -453,7 +455,7 @@ def _plan_auto(
     if not components:
         # Nothing to move; an empty instance is trivially all-even.
         spec = select_solver(instance)
-        schedule = backend_solver(spec, instance)(seed, stats)
+        schedule = backend_solver(spec, instance)(seed, None)
         schedule.validate(instance)
         result.schedule = schedule
         return
@@ -464,63 +466,97 @@ def _plan_auto(
         ]
 
     with _stage(tracer, result, "solve"):
-        seeds: List[int] = []
-        outcomes: List[Optional[SolveOutcome]] = [None] * len(components)
-        cached_flags = [False] * len(components)
-        for k, (comp, spec) in enumerate(zip(components, selections)):
-            comp_seed = (
-                derive_component_seed(seed, comp.fingerprint)
-                if comp.fingerprint is not None
-                else seed
-            )
-            seeds.append(comp_seed)
-            if cache is not None and comp.fingerprint is not None:
-                hit = cache.get_plan(comp.fingerprint, spec.name, seed)
-                if hit is not None:
-                    outcomes[k] = (hit.rounds, hit.method)
-                    cached_flags[k] = True
-                    tracer.count(names.PLAN_CACHE_HITS)
-                else:
-                    tracer.count(names.PLAN_CACHE_MISSES)
-
-        miss_indices = [k for k, out in enumerate(outcomes) if out is None]
-        jobs: List[SolveJob] = [
-            (components[k].instance, selections[k].name, seeds[k])
-            for k in miss_indices
-        ]
-        use_pool = _should_parallelize(parallel, [components[k] for k in miss_indices])
-        if use_pool:
-            # Spans cannot propagate out of pool workers; one umbrella
-            # span stands in for the whole batch.
-            with tracer.span(names.SPAN_SOLVE_POOL, jobs=len(jobs)):
-                watch = Stopwatch()
-                with watch:
-                    solved = solve_jobs(jobs, max_workers=workers)
-            accumulate(result.solver_profile, "pool", watch)
-        else:
-            solved = []
-            for k, job in zip(miss_indices, jobs):
-                with tracer.span(names.SPAN_SOLVE, method=job[1], component=k):
-                    watch = Stopwatch()
-                    with watch:
-                        solved.append(solve_job(job, stats))
-                accumulate(result.solver_profile, job[1], watch)
-        for k, outcome in zip(miss_indices, solved):
-            outcomes[k] = outcome
-        if miss_indices:
-            tracer.count(names.PLAN_COMPONENTS_SOLVED, len(miss_indices))
-        if len(components) > len(miss_indices):
-            tracer.count(
-                names.PLAN_COMPONENTS_CACHED,
-                len(components) - len(miss_indices),
-            )
+        seeds, outcomes = _serve_cached(components, selections, seed, cache, tracer)
+        cached_flags = [outcome is not None for outcome in outcomes]
+        solved = _solve_misses(
+            components, selections, seeds, outcomes, parallel, workers, result, tracer
+        )
+        if solved:
+            tracer.count(names.PLAN_COMPONENTS_SOLVED, solved)
+        if len(components) > solved:
+            tracer.count(names.PLAN_COMPONENTS_CACHED, len(components) - solved)
 
     _merge_components(
         instance, components, selections, outcomes, seeds, cached_flags,
         seed, cache, result, tracer,
     )
+
+
+def _serve_cached(
+    components: Sequence[Component],
+    selections: Sequence[SolverSpec],
+    seed: int,
+    cache: Optional[PlanCache],
+    tracer: Tracer,
+) -> Tuple[List[int], List[Optional[SolveOutcome]]]:
+    """Derive every component's seed and serve plan-cache hits.
+
+    Shared by ``plan`` and ``plan_delta``.  Returns ``(seeds,
+    outcomes)``: ``outcomes[k]`` is component ``k``'s cached outcome
+    under the ``(fingerprint, solver, base seed)`` key, or ``None`` on
+    a miss.
+    """
+    seeds: List[int] = []
+    outcomes: List[Optional[SolveOutcome]] = []
+    for comp, spec in zip(components, selections):
+        fp = comp.fingerprint
+        seeds.append(derive_component_seed(seed, fp) if fp is not None else seed)
+        outcome: Optional[SolveOutcome] = None
+        if cache is not None and fp is not None:
+            hit = cache.get_plan(fp, spec.name, seed)
+            if hit is not None:
+                outcome = (hit.rounds, hit.method, None)
+                tracer.count(names.PLAN_CACHE_HITS)
+            else:
+                tracer.count(names.PLAN_CACHE_MISSES)
+        outcomes.append(outcome)
+    return seeds, outcomes
+
+
+def _solve_misses(
+    components: Sequence[Component],
+    selections: Sequence[SolverSpec],
+    seeds: Sequence[int],
+    outcomes: List[Optional[SolveOutcome]],
+    parallel: Union[bool, str],
+    workers: Optional[int],
+    result: PlanResult,
+    tracer: Tracer,
+) -> int:
+    """Solve every component whose outcome is ``None``; return how many.
+
+    Shared by ``plan`` and ``plan_delta``.  In process, every job gets
+    its own ``pipeline.solve`` span and ``solver_profile`` entry; a
+    pool (when ``parallel`` asks for one and the misses warrant it)
+    gets one umbrella span, profiled under ``"pool"``.  Sets
+    ``result.parallel`` and ``result.workers``.
+    """
+    misses = [k for k, outcome in enumerate(outcomes) if outcome is None]
+    jobs: List[SolveJob] = [
+        (components[k].instance, selections[k].name, seeds[k]) for k in misses
+    ]
+    use_pool = _should_parallelize(parallel, [components[k] for k in misses])
+    if use_pool:
+        # Spans cannot propagate out of pool workers; one umbrella
+        # span stands in for the whole batch.
+        with tracer.span(names.SPAN_SOLVE_POOL, jobs=len(jobs)):
+            watch = Stopwatch()
+            with watch:
+                solved = solve_jobs(jobs, max_workers=workers)
+        accumulate(result.solver_profile, "pool", watch)
+    else:
+        solved = []
+        for k, job in zip(misses, jobs):
+            with tracer.span(names.SPAN_SOLVE, method=job[1], component=k):
+                watch = Stopwatch()
+                with watch:
+                    solved.append(solve_job(job))
+            accumulate(result.solver_profile, job[1], watch)
+    for k, outcome in zip(misses, solved):
+        outcomes[k] = outcome
     result.parallel = use_pool
     result.workers = workers if (use_pool and workers) else 1
+    return len(misses)
 
 
 def _merge_components(
@@ -556,11 +592,11 @@ def _merge_components(
                         CachedPlan(method=done[k][1], rounds=done[k][0]),
                     )
         component_rounds = [
-            rehydrate_rounds(comp.instance, tokens)
-            for comp, (tokens, _method) in zip(components, done)
+            rehydrate_rounds(comp.instance, outcome[0])
+            for comp, outcome in zip(components, done)
         ]
         result.schedule = merge(
-            instance, component_rounds, [method for _tokens, method in done]
+            instance, component_rounds, [outcome[1] for outcome in done]
         )
     result.components = [
         ComponentPlan(
@@ -572,6 +608,7 @@ def _merge_components(
             seed=seeds[k],
             cached=cached_flags[k],
             fingerprint=comp.fingerprint,
+            stats=done[k][2],
         )
         for k, comp in enumerate(components)
     ]

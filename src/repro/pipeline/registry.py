@@ -3,6 +3,14 @@
 Every scheduling algorithm the pipeline can dispatch to is described by
 a :class:`SolverSpec` registered through :func:`register_solver`:
 
+* ``solve(lowered, seed, stats)`` — the one kernel the solve stage
+  runs, on the component lowered to CSR arrays
+  (:class:`~repro.graphs.array_backend.CompactInstance`).  The three
+  paper solvers run their array kernels; the baselines and the exact
+  search read ``lowered.source``.  The object reference kernels the
+  array kernels must match are not registered: they are listed in
+  :data:`repro.checks.engine.REFERENCE_KERNELS`, which only the
+  differential harness reads;
 * ``applicable(instance)`` — a cheap predicate deciding whether the
   solver may run on an instance (e.g. the Section-IV optimal scheduler
   requires every ``c_v`` even);
@@ -32,16 +40,11 @@ from repro.core.baselines import (
     homogeneous_schedule,
     saia_schedule,
 )
-from repro.core.even_optimal import even_optimal_schedule, even_optimal_schedule_compact
-from repro.core.general import (
-    GeneralSolverStats,
-    general_schedule,
-    general_schedule_compact,
-)
+from repro.core.even_optimal import even_optimal_schedule_compact
+from repro.core.general import GeneralSolverStats, general_schedule_compact
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
 from repro.core.special_cases import (
-    bipartite_optimal_schedule,
     bipartite_optimal_schedule_compact,
     is_bipartite_instance,
 )
@@ -52,18 +55,11 @@ from repro.exact.search import (
 )
 from repro.graphs.array_backend import CompactInstance
 
-#: ``solve(instance, seed, stats)`` — the uniform solver signature.
-#: Solvers without randomness or diagnostics ignore the extra args.
+#: ``solve(lowered, seed, stats)`` — the uniform solver signature.  The
+#: solve stage lowers each instance once and runs this on the arrays;
+#: solvers that work on objects read ``lowered.source``.  Solvers
+#: without randomness or diagnostics ignore the extra args.
 SolveFn = Callable[
-    [MigrationInstance, int, Optional[GeneralSolverStats]], MigrationSchedule
-]
-
-#: ``solve_compact(lowered, seed, stats)`` — the CSR array kernel the
-#: solve stage runs.  Must produce a schedule byte-identical to
-#: ``solve`` (the reference object kernel) on the source instance; the
-#: differential harness (`repro.checks.engine`) enforces this across
-#: the generator corpus.
-SolveCompactFn = Callable[
     [CompactInstance, int, Optional[GeneralSolverStats]], MigrationSchedule
 ]
 
@@ -81,10 +77,6 @@ class SolverSpec:
     auto: bool
     randomized: bool  # output depends on the seed → restarts can help
     order: int  # registration order; breaks cost_hint ties deterministically
-    #: CSR array kernel, byte-identical to ``solve``; when present the
-    #: solve stage runs it, and ``solve`` is the differential reference.
-    #: None means the solve stage runs ``solve``.
-    solve_compact: Optional[SolveCompactFn] = None
     #: objective kinds this solver can optimize (``Objective.kind``
     #: tags).  Every legacy solver optimizes makespan only; the exact
     #: branch-and-bound also handles the round-indexed objectives.
@@ -105,7 +97,6 @@ def register_solver(
     optimal: bool = False,
     auto: bool = False,
     randomized: bool = False,
-    compact: Optional[SolveCompactFn] = None,
     objectives: Tuple[str, ...] = ("makespan",),
 ) -> Callable[[SolveFn], SolveFn]:
     """Register a solver under ``name``; use as a decorator.
@@ -120,9 +111,6 @@ def register_solver(
         randomized: output depends on the seed, so the pipeline's solve
             stage may restart the solver with derived seeds when a
             component comes out above its lower bound.
-        compact: optional CSR array kernel, run by the solve stage in
-            place of the decorated function; must be byte-identical to
-            it (same rounds, same method label).
         objectives: ``Objective.kind`` tags the solver can optimize
             (default: makespan only).
 
@@ -142,7 +130,6 @@ def register_solver(
             auto=auto,
             randomized=randomized,
             order=len(_REGISTRY),
-            solve_compact=compact,
             objectives=objectives,
         )
         return fn
@@ -203,44 +190,19 @@ def select_solver(
 # built-in catalog (registration order == METHODS order)
 # ----------------------------------------------------------------------
 
-def _compact_even_optimal(
-    ci: CompactInstance,
-    seed: int,
-    stats: Optional[GeneralSolverStats],
-) -> MigrationSchedule:
-    return even_optimal_schedule_compact(ci)
-
-
-def _compact_bipartite_optimal(
-    ci: CompactInstance,
-    seed: int,
-    stats: Optional[GeneralSolverStats],
-) -> MigrationSchedule:
-    return bipartite_optimal_schedule_compact(ci)
-
-
-def _compact_general(
-    ci: CompactInstance,
-    seed: int,
-    stats: Optional[GeneralSolverStats],
-) -> MigrationSchedule:
-    return general_schedule_compact(ci, seed=seed, stats=stats)
-
-
 @register_solver(
     "even_optimal",
     applicable=lambda inst: inst.all_even(),
     cost_hint=10,
     optimal=True,
     auto=True,
-    compact=_compact_even_optimal,
 )
 def _solve_even_optimal(
-    instance: MigrationInstance,
+    ci: CompactInstance,
     seed: int,
     stats: Optional[GeneralSolverStats],
 ) -> MigrationSchedule:
-    return even_optimal_schedule(instance)
+    return even_optimal_schedule_compact(ci)
 
 
 @register_solver(
@@ -249,65 +211,58 @@ def _solve_even_optimal(
     cost_hint=20,
     optimal=True,
     auto=True,
-    compact=_compact_bipartite_optimal,
 )
 def _solve_bipartite_optimal(
-    instance: MigrationInstance,
+    ci: CompactInstance,
     seed: int,
     stats: Optional[GeneralSolverStats],
 ) -> MigrationSchedule:
-    return bipartite_optimal_schedule(instance)
+    return bipartite_optimal_schedule_compact(ci)
 
 
-@register_solver(
-    "general",
-    cost_hint=100,
-    auto=True,
-    randomized=True,
-    compact=_compact_general,
-)
+@register_solver("general", cost_hint=100, auto=True, randomized=True)
 def _solve_general(
-    instance: MigrationInstance,
+    ci: CompactInstance,
     seed: int,
     stats: Optional[GeneralSolverStats],
 ) -> MigrationSchedule:
-    return general_schedule(instance, seed=seed, stats=stats)
+    return general_schedule_compact(ci, seed=seed, stats=stats)
 
 
 @register_solver("saia", cost_hint=400)
 def _solve_saia(
-    instance: MigrationInstance,
+    ci: CompactInstance,
     seed: int,
     stats: Optional[GeneralSolverStats],
 ) -> MigrationSchedule:
-    return saia_schedule(instance)
+    return saia_schedule(ci.source)
 
 
 @register_solver("homogeneous", cost_hint=500)
 def _solve_homogeneous(
-    instance: MigrationInstance,
+    ci: CompactInstance,
     seed: int,
     stats: Optional[GeneralSolverStats],
 ) -> MigrationSchedule:
-    return homogeneous_schedule(instance)
+    return homogeneous_schedule(ci.source)
 
 
 @register_solver("greedy", cost_hint=600)
 def _solve_greedy(
-    instance: MigrationInstance,
+    ci: CompactInstance,
     seed: int,
     stats: Optional[GeneralSolverStats],
 ) -> MigrationSchedule:
-    return greedy_schedule(instance)
+    return greedy_schedule(ci.source)
 
 
 @register_solver("even_rounding", cost_hint=700)
 def _solve_even_rounding(
-    instance: MigrationInstance,
+    ci: CompactInstance,
     seed: int,
     stats: Optional[GeneralSolverStats],
 ) -> MigrationSchedule:
-    return even_rounding_schedule(instance)
+    return even_rounding_schedule(ci.source)
 
 
 def _exact_bb_applicable(instance: MigrationInstance) -> bool:
@@ -326,11 +281,11 @@ def _exact_bb_applicable(instance: MigrationInstance) -> bool:
     objectives=("makespan", "bounded_color", "group_completion"),
 )
 def _solve_exact_bb(
-    instance: MigrationInstance,
+    ci: CompactInstance,
     seed: int,
     stats: Optional[GeneralSolverStats],
 ) -> MigrationSchedule:
-    return exact_bb_schedule(instance, seed, stats)
+    return exact_bb_schedule(ci.source)
 
 
 #: All accepted ``method=`` values: ``"auto"`` plus every registered

@@ -9,26 +9,36 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import pytest
 
+from repro.checks.engine import REFERENCE_KERNELS, ReferenceFn
 from repro.core.problem import MigrationInstance
 from repro.core.recolor import ArrayColoringState, ColoringState
 from repro.graphs.array_backend import CompactGraph
 from repro.graphs.multigraph import EdgeId, Multigraph, Node
 from repro.pipeline import registry
+from repro.pipeline.registry import SolveFn
+
+
+def _on_source(reference: ReferenceFn) -> SolveFn:
+    """``reference`` with the registered solver signature."""
+    return lambda ci, seed, stats: reference(ci.source, seed, stats)
 
 
 @contextmanager
 def reference_kernels() -> Iterator[None]:
-    """Register every solver without its array kernel while inside.
+    """Register every solver of ``REFERENCE_KERNELS`` with its reference.
 
-    ``backend_solver`` then runs ``spec.solve`` — the object reference
-    kernels — so a plan made inside is the reference plan.
+    ``backend_solver`` then runs the object reference kernels on the
+    lowered instance's source, so a plan made inside is the reference
+    plan.
     """
     with pytest.MonkeyPatch.context() as patch:
-        for name, spec in list(registry._REGISTRY.items()):
+        for name, reference in REFERENCE_KERNELS.items():
             patch.setitem(
                 registry._REGISTRY,
                 name,
-                dataclasses.replace(spec, solve_compact=None),
+                dataclasses.replace(
+                    registry.get_solver(name), solve=_on_source(reference)
+                ),
             )
         yield
 

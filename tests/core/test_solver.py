@@ -57,8 +57,8 @@ class TestDispatch:
 
     def test_stats_threaded_to_general(self):
         inst = random_instance(6, 25, capacity_choices=(1, 2), seed=2)
-        stats = GeneralSolverStats()
-        plan(inst, method="general", stats=stats)
+        stats = plan(inst, method="general").components[0].stats
+        assert isinstance(stats, GeneralSolverStats)
         assert stats.sweeps >= 1
 
 

@@ -7,8 +7,6 @@ from repro.core.problem import MigrationInstance
 from repro.core.special_cases import (
     bipartite_optimal_schedule,
     is_bipartite_instance,
-    is_forest_instance,
-    try_special_case_schedule,
 )
 from repro import plan
 from repro.graphs.coloring.bipartite import NotBipartiteError
@@ -19,30 +17,18 @@ class TestDetection:
     def test_bipartite_detected(self):
         inst = bipartite_instance(3, 2, 10, seed=0)
         assert is_bipartite_instance(inst)
+        tree = MigrationInstance.uniform(
+            [("r", "a"), ("r", "b"), ("a", "c"), ("a", "d")], capacity=1
+        )
+        assert is_bipartite_instance(tree)  # forests are bipartite
+        bundle = MigrationInstance.uniform([("a", "b"), ("a", "b")], capacity=1)
+        assert is_bipartite_instance(bundle)
 
     def test_odd_cycle_not_bipartite(self):
         inst = MigrationInstance.uniform(
             [("a", "b"), ("b", "c"), ("c", "a")], capacity=1
         )
         assert not is_bipartite_instance(inst)
-
-    def test_forest_detected(self):
-        inst = MigrationInstance.uniform(
-            [("r", "a"), ("r", "b"), ("a", "c"), ("a", "d")], capacity=1
-        )
-        assert is_forest_instance(inst)
-        assert is_bipartite_instance(inst)  # forests are bipartite
-
-    def test_parallel_edges_not_forest_but_bipartite(self):
-        inst = MigrationInstance.uniform([("a", "b"), ("a", "b")], capacity=1)
-        assert not is_forest_instance(inst)
-        assert is_bipartite_instance(inst)
-
-    def test_cycle_not_forest(self):
-        inst = MigrationInstance.uniform(
-            [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")], capacity=1
-        )
-        assert not is_forest_instance(inst)
 
 
 class TestBipartiteOptimal:
@@ -87,14 +73,6 @@ class TestBipartiteOptimal:
 
 
 class TestDispatch:
-    def test_try_special_case(self):
-        bip = bipartite_instance(3, 3, 15, seed=1)
-        assert try_special_case_schedule(bip) is not None
-        tri = MigrationInstance.uniform(
-            [("a", "b"), ("b", "c"), ("c", "a")], capacity=1
-        )
-        assert try_special_case_schedule(tri) is None
-
     def test_auto_uses_bipartite_optimal_for_odd_bipartite(self):
         inst = bipartite_instance(4, 4, 30, old_capacity=1, new_capacity=3, seed=2)
         sched = plan(inst, method="auto").schedule

@@ -91,7 +91,7 @@ class TestMakespan:
 
     def test_wrapper_schedule(self):
         inst = random_instance(5, 8, seed=3)
-        sched = exact_bb_schedule(inst, seed=0)
+        sched = exact_bb_schedule(inst)
         sched.validate(inst)
         assert sched.num_rounds == solve_exact(inst).value
 

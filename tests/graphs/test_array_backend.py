@@ -15,7 +15,7 @@ from repro.graphs.array_backend import (
     lift_rounds,
     lower_instance,
 )
-from repro.graphs.euler import euler_circuits, euler_circuits_of
+from repro.graphs.euler import compact_euler_circuits, euler_circuits
 from repro.graphs.matching import (
     InfeasibleMatchingError,
     QuotaPeeler,
@@ -167,7 +167,10 @@ class TestCompactEulerCircuits:
             g.add_edge(u, v)
         compact = CompactGraph.from_multigraph(g)
         obj = euler_circuits(g)
-        arr = euler_circuits_of(compact)
+        arr = compact_euler_circuits(
+            compact.indptr, compact.inc_edge, compact.inc_other,
+            compact.degree, compact.num_edges,
+        )
         lifted = [
             [
                 (compact.edge_ids[e], compact.nodes[u], compact.nodes[v])

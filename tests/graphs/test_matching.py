@@ -7,7 +7,6 @@ import pytest
 from repro.graphs.matching import (
     InfeasibleMatchingError,
     degree_constrained_subgraph,
-    maximum_bipartite_matching,
 )
 
 
@@ -71,17 +70,3 @@ class TestDegreeConstrainedSubgraph:
         quota_r = {v: d // 2 for v in rights}
         picked = degree_constrained_subgraph(edges, quota_l, quota_r)
         check_quotas(edges, picked, quota_l, quota_r)
-
-
-class TestMaximumMatching:
-    def test_simple(self):
-        edges = [("l0", "r0"), ("l1", "r0")]
-        picked = maximum_bipartite_matching(edges)
-        assert len(picked) == 1
-
-    def test_complete_bipartite(self):
-        edges = [(f"l{i}", f"r{j}") for i in range(3) for j in range(3)]
-        picked = maximum_bipartite_matching(edges)
-        assert len(picked) == 3
-        assert len({edges[i][0] for i in picked}) == 3
-        assert len({edges[i][1] for i in picked}) == 3

@@ -1,5 +1,6 @@
 """The solve stage's production path (``backend_solver``)."""
 
+from repro.checks.engine import REFERENCE_KERNELS
 from repro.pipeline import PlanCache, plan
 from repro.pipeline.parallel import backend_solver
 from repro.pipeline.registry import get_solver
@@ -15,7 +16,7 @@ class TestBackendSolver:
         """The array kernel the solve stage runs matches its reference."""
         instance = random_instance(8, 40, seed=2)
         spec = get_solver("general")
-        obj = spec.solve(instance, 0, None)
+        obj = REFERENCE_KERNELS["general"](instance, 0, None)
         arr = backend_solver(spec, instance)(0, None)
         assert obj.rounds == arr.rounds
         assert obj.method == arr.method
@@ -26,8 +27,9 @@ class TestPlanBackendAttribution:
         """A plan on the array kernels equals the reference-kernel plan."""
         instance = multi_component_instance(3, seed=5)
         arr = plan(instance, parallel=False)
+        production = get_solver("general").solve
         with reference_kernels():
-            assert get_solver("general").solve_compact is None
+            assert get_solver("general").solve is not production
             ref = plan(instance, parallel=False)
         assert ref.schedule.rounds == arr.schedule.rounds
         assert ref.schedule.method == arr.schedule.method
@@ -39,9 +41,10 @@ class TestPlanBackendAttribution:
         """A reference-kernel solve is a cache hit for a production plan."""
         instance = multi_component_instance(2, seed=9)
         cache = PlanCache()
+        production = get_solver("general").solve
         with reference_kernels():
             cold = plan(instance, cache=cache, parallel=False)
-        assert get_solver("general").solve_compact is not None
+        assert get_solver("general").solve is production
         warm = plan(instance, cache=cache, parallel=False)
         assert cold.schedule.rounds == warm.schedule.rounds
         assert cold.schedule.method == warm.schedule.method

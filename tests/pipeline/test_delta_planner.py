@@ -12,6 +12,7 @@ from repro.checks.certify import (
 from repro.core.delta import InstanceDelta, apply_delta
 from repro.core.problem import MigrationInstance
 from repro.graphs.multigraph import Multigraph
+from repro.obs import InMemoryExporter, Tracer, names
 from repro.pipeline import PlanCache, plan, plan_delta
 from repro.pipeline.delta import (
     DISPOSITION_PATCHED,
@@ -73,9 +74,20 @@ class TestTriage:
             add_moves=(("x0", "x1"),),
             capacity_changes=(("x0", 1), ("x1", 1)),
         )
-        result = plan_delta(prior, delta, cache=cache, certify=True)
+        exporter = InMemoryExporter()
+        result = plan_delta(
+            prior, delta, cache=cache, certify=True, tracer=Tracer(exporter)
+        )
         assert result.components_resolved == 1
         assert result.components_reused == 2
+        # The re-solve goes through plan()'s solve helper, so it is as
+        # observable as a cold solve: one span, one profile entry.
+        k = result.dispositions.index(DISPOSITION_RESOLVED)
+        method = result.components[k].method
+        solves = [r for r in exporter.spans() if r["name"] == names.SPAN_SOLVE]
+        assert [r["attrs"] for r in solves] == [{"method": method, "component": k}]
+        assert list(result.solver_profile) == [method]
+        assert result.solver_profile[method].calls == 1
 
     def test_empty_delta_reuses_everything(self):
         instance = two_component_instance()

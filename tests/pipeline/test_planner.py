@@ -104,15 +104,15 @@ class TestRestarts:
         # Seed 3 makes the general solver's first attempt land one
         # round above what other seeds reach on this K5 multigraph.
         inst = clique_instance(5, 3, capacity=1)
-        first = get_solver("general").solve(inst, 3, None).num_rounds
-        tokens, _ = solve_job((inst, "general", 3))
+        first = general_schedule(inst, seed=3).num_rounds
+        tokens, _, _ = solve_job((inst, "general", 3))
         assert len(tokens) < first
 
     def test_restarted_solve_is_never_worse_than_first_attempt(self):
         inst = clique_instance(5, 3, capacity=1)
         for seed in range(6):
-            first = get_solver("general").solve(inst, seed, None).num_rounds
-            tokens, _ = solve_job((inst, "general", seed))
+            first = general_schedule(inst, seed=seed).num_rounds
+            tokens, _, _ = solve_job((inst, "general", seed))
             assert len(tokens) <= first
 
     def test_forced_general_keeps_legacy_single_seed_bytes(self):
@@ -137,15 +137,15 @@ class TestForcedMethods:
             plan(mixed_two_component_instance(), method="bogus")
 
     def test_stats_passthrough(self):
-        stats = GeneralSolverStats()
         inst = random_instance(10, 40, capacity_choices=(1, 3), seed=6)
-        result = plan(inst, method="general", stats=stats)
+        result = plan(inst, method="general")
         direct = GeneralSolverStats()
         expected = general_schedule(inst, seed=0, stats=direct)
         assert [sorted(r) for r in result.schedule.rounds] == [
             sorted(r) for r in expected.rounds
         ]
-        assert stats.lower_bound == direct.lower_bound
+        assert result.components[0].stats == direct
+        assert plan(inst, method="greedy").components[0].stats is None
 
 
 class TestPlanCacheIntegration:
@@ -156,6 +156,7 @@ class TestPlanCacheIntegration:
         second = plan(inst, cache=cache)
         assert first.components_solved == 3 and first.components_cached == 0
         assert second.components_solved == 0 and second.components_cached == 3
+        assert all(comp.stats is None for comp in second.components)
         assert second.schedule.rounds == first.schedule.rounds
         assert second.schedule.method == first.schedule.method
 
@@ -204,6 +205,11 @@ class TestParallelSolving:
         assert parallel.schedule.rounds == serial.schedule.rounds
         assert parallel.schedule.method == serial.schedule.method
         assert parallel.parallel is True
+        # Pooled general solves report the same diagnostics as serial.
+        assert "general" in serial.methods_used()
+        for s, p in zip(serial.components, parallel.components):
+            assert (s.stats is not None) == (s.method == "general")
+            assert p.stats == s.stats
 
     def test_parallel_auto_stays_serial_on_tiny_instances(self):
         result = plan(mixed_two_component_instance(), parallel="auto")

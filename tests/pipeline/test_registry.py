@@ -82,7 +82,7 @@ class TestSelection:
 
 class TestExtensibility:
     def test_registered_solver_is_selectable_and_dispatchable(self):
-        from repro.core.general import general_schedule
+        from repro.core.general import general_schedule_compact
 
         try:
 
@@ -92,8 +92,8 @@ class TestExtensibility:
                 cost_hint=1,  # beats every built-in
                 auto=True,
             )
-            def _custom(instance, seed, stats):
-                return general_schedule(instance, seed=seed, stats=stats)
+            def _custom(ci, seed, stats):
+                return general_schedule_compact(ci, seed=seed, stats=stats)
 
             inst = random_instance(6, 12, seed=0)
             assert select_solver(inst).name == "test_custom"
