@@ -13,7 +13,12 @@ import pytest
 from benchmarks.conftest import emit
 from repro.analysis.tables import Table
 from repro.cluster.engine import MigrationEngine
-from repro.cluster.network import FabricRates, FabricTopology, rack_locality
+from repro.cluster.network import (
+    FabricRates,
+    FabricTopology,
+    FairShareRates,
+    rack_locality,
+)
 from repro import plan
 from repro.workloads.scenarios import scale_out_scenario
 
@@ -51,17 +56,17 @@ def test_net_generous_uplink_matches_paper_model(benchmark):
     """A dedicated fast fabric reduces to the disk-bound model."""
     scenario = scale_out_scenario(num_old=9, num_new=3, items_per_old_disk=30, seed=17)
     sched = plan(scenario.instance).schedule
-    plain = MigrationEngine(scenario.cluster)
+    plain = FairShareRates()
     plain_time = 0.0
     for rnd in sched.rounds:
-        plain_time += plain.round_duration(scenario.context, rnd)
+        plain_time += plain.round_duration(scenario.cluster, scenario.context, rnd)
 
     topo = FabricTopology.striped(scenario.cluster.disks, racks=3,
                                   uplink_bandwidth=10_000.0)
-    fabric = MigrationEngine(scenario.cluster, rate_model=FabricRates(topo))
+    fabric = FabricRates(topo)
     fabric_time = 0.0
     for rnd in sched.rounds:
-        fabric_time += fabric.round_duration(scenario.context, rnd)
+        fabric_time += fabric.round_duration(scenario.cluster, scenario.context, rnd)
     assert fabric_time == pytest.approx(plain_time)
 
-    benchmark(fabric.round_duration, scenario.context, sched.rounds[0])
+    benchmark(fabric.round_duration, scenario.cluster, scenario.context, sched.rounds[0])

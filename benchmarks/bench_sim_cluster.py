@@ -13,7 +13,9 @@ import pytest
 from benchmarks.conftest import emit
 from repro.analysis.tables import Table
 from repro.cluster.engine import MigrationEngine
+from repro.cluster.network import UnitRates
 from repro import plan
+from repro.runtime import DiskCrash, FaultPlan, MigrationExecutor
 from repro.workloads.scenarios import (
     decommission_scenario,
     scale_out_scenario,
@@ -30,7 +32,7 @@ SCENARIOS = [
 def run_scenario(builder, method: str, seed: int = 11) -> tuple:
     scenario = builder(seed=seed)
     sched = plan(scenario.instance, method=method).schedule
-    engine = MigrationEngine(scenario.cluster)  # bandwidth_split
+    engine = MigrationEngine(scenario.cluster)  # FairShareRates (Figure 2)
     report = engine.execute(scenario.context, sched)
     return sched.num_rounds, report.total_time, scenario.instance.num_items
 
@@ -52,30 +54,33 @@ def test_sim_scenarios_by_method(benchmark):
 
 
 def test_sim_failure_replan(benchmark):
-    """Failure injection: replanning finishes the drain."""
+    """Failure injection: the executor replans and finishes the drain."""
 
     def kernel():
         scenario = scale_out_scenario(num_old=6, num_new=3, items_per_old_disk=25, seed=13)
         sched = plan(scenario.instance).schedule
-        engine = MigrationEngine(scenario.cluster, time_model="unit")
-        return engine.execute_with_replan(
+        # Unit time: the crash at t=1.0 lands right after round 0.
+        report = MigrationExecutor(
+            scenario.cluster,
             scenario.context,
             sched,
-            fail_after_round=0,
-            failed_disk="new2",
-            planner=lambda inst: plan(inst).schedule,
-        )
+            faults=FaultPlan(crashes=(DiskCrash("new2", 1.0),)),
+            rate_model=UnitRates(),
+        ).run()
+        return report, scenario.context.num_moves
 
-    report = kernel()
+    report, moves = kernel()
     table = Table(
         "EXP-SIMb: disk failure after round 0 + replan",
-        ["migrated", "stranded", "replans", "rounds executed", "total time"],
+        ["moves", "delivered", "stranded", "replans", "rounds executed", "total time"],
     )
     table.add_row(
-        len(report.migrated_items), len(report.stranded_items),
+        moves, len(report.delivered), len(report.stranded),
         report.replans, report.rounds_executed, report.total_time,
     )
     emit(table)
     assert report.replans == 1
+    assert report.finished
+    assert len(report.delivered) + len(report.stranded) == moves
 
     benchmark(kernel)

@@ -159,9 +159,7 @@ def verify_schedule(instance: MigrationInstance, rounds: Rounds) -> int:
 # certificate construction (solver side) and verification (checker side)
 # ----------------------------------------------------------------------
 
-def make_certificate(
-    instance: MigrationInstance, exact_small: bool = True
-) -> LowerBoundCertificate:
+def make_certificate(instance: MigrationInstance) -> LowerBoundCertificate:
     """Build a lower-bound certificate with the best witnesses we know.
 
     The witnesses come from :mod:`repro.core.lower_bounds`; their
@@ -178,7 +176,7 @@ def make_certificate(
             bound=delta,
         )
 
-    exact = exact_small and instance.graph.num_nodes <= EXACT_LB2_NODE_LIMIT
+    exact = instance.graph.num_nodes <= EXACT_LB2_NODE_LIMIT
     if exact:
         subset, gamma = lb2_exact_witness(instance, max_nodes=EXACT_LB2_NODE_LIMIT)
     else:

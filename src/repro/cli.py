@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.metrics import compare_methods
 from repro.analysis.tables import Table
 from repro.cluster.engine import MigrationEngine
+from repro.cluster.network import FairShareRates, UnitRates
 from repro.core.problem import MigrationInstance
 from repro.pipeline.planner import plan
 from repro.pipeline.registry import METHODS
@@ -62,6 +63,10 @@ _SCENARIOS = {
     "decommission": decommission_scenario,
     "sensor-harvest": sensor_harvest_scenario,
 }
+
+#: ``--time-model`` choices (also stored in the run checkpoint's
+#: config) and the rate model each one selects.
+_RATE_MODELS = {"unit": UnitRates, "bandwidth_split": FairShareRates}
 
 
 def _parse_moves_file(path: str) -> Tuple[List[Tuple[str, str]], Dict[str, int]]:
@@ -305,8 +310,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     scenario = _SCENARIOS[name](seed=args.seed)
     instance = scenario.instance
     schedule = plan(instance, method=args.method).schedule
-    engine = MigrationEngine(scenario.cluster, time_model=args.time_model)
-    report = engine.execute(scenario.context, schedule)
+    rate_model = _RATE_MODELS[args.time_model]()
+    report = MigrationEngine(scenario.cluster, rate_model).execute(
+        scenario.context, schedule
+    )
     print(
         f"scenario={scenario.name} disks={instance.num_disks} "
         f"moves={instance.num_items} method={schedule.method}"
@@ -408,7 +415,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 return 2
             executor = restore_executor(
                 scenario.cluster, state, faults=faults, policy=policy,
-                time_model=args.time_model, method=args.method,
+                rate_model=_RATE_MODELS[args.time_model](), method=args.method,
                 seed=args.seed, trace=trace, cache=plan_cache,
                 tracer=tracer,
             )
@@ -423,7 +430,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ).schedule
         executor = MigrationExecutor(
             scenario.cluster, scenario.context, schedule,
-            faults=faults, policy=policy, time_model=args.time_model,
+            faults=faults, policy=policy, rate_model=_RATE_MODELS[args.time_model](),
             method=args.method, seed=args.seed, trace=trace,
             cache=plan_cache, tracer=tracer,
         )
@@ -997,7 +1004,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--list", action="store_true",
                         help="list available scenarios and exit")
     p_demo.add_argument("--method", choices=METHODS, default="auto")
-    p_demo.add_argument("--time-model", choices=("unit", "bandwidth_split"), default="bandwidth_split")
+    p_demo.add_argument("--time-model", choices=tuple(_RATE_MODELS), default="bandwidth_split")
     p_demo.add_argument("--seed", type=int, default=0)
     p_demo.set_defaults(func=_cmd_demo)
 
@@ -1009,7 +1016,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--list", action="store_true",
                        help="list available scenarios and exit")
     p_run.add_argument("--method", choices=METHODS, default="auto")
-    p_run.add_argument("--time-model", choices=("unit", "bandwidth_split"),
+    p_run.add_argument("--time-model", choices=tuple(_RATE_MODELS),
                        default="bandwidth_split")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--fault-rate", type=float, default=0.0,

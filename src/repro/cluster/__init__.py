@@ -11,8 +11,9 @@ the library is usable end-to-end:
 * :mod:`repro.cluster.system` — the cluster: disk add/remove, layout
   diffing into :class:`~repro.core.problem.MigrationInstance`.
 * :mod:`repro.cluster.engine` — executes a migration schedule round by
-  round under a bandwidth-splitting time model (validating the paper's
-  Figure 2 arithmetic), with failure injection and replanning.
+  round, fault-free, under a :mod:`repro.cluster.network` rate model
+  (bandwidth splitting by default, validating the paper's Figure 2
+  arithmetic); failures and replanning are :mod:`repro.runtime`'s.
 * :mod:`repro.cluster.events` / :mod:`repro.cluster.traces` — event log
   and serializable execution traces.
 """

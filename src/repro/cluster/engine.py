@@ -9,83 +9,40 @@ unit bandwidth, a ``c = 1`` schedule of ``3M`` rounds costs ``3M`` time
 while a ``c = 2`` schedule of ``M`` rounds costs ``2M`` — the factor
 the paper's introduction claims.
 
-Two time models:
+The time model is a :class:`~repro.cluster.network.RateModel`:
+:class:`~repro.cluster.network.FairShareRates` (the default) is the
+Figure 2 model described above, and
+:class:`~repro.cluster.network.UnitRates` charges one time unit per
+round (the paper's objective: time == number of rounds).
 
-* ``"unit"`` — every round costs one time unit (the paper's objective:
-  time == number of rounds);
-* ``"bandwidth_split"`` — the Figure 2 model described above.
-
-Failure injection: :meth:`MigrationEngine.execute` accepts a disk that
-fails after a given round; :meth:`MigrationEngine.execute_with_replan`
-then recomputes a plan for the surviving moves and finishes the job,
-reporting stranded items.
+The engine replays a schedule in one fault-free sweep.  Disk failures
+mid-migration, and the replan that finishes the surviving moves, are
+:class:`repro.runtime.MigrationExecutor`'s job (``DiskCrash`` faults).
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import List, Optional
 
-from repro.cluster.disk import DiskId
-from repro.cluster.events import (
-    DiskRemoved,
-    EventLog,
-    ItemMigrated,
-    MigrationReplanned,
-    RoundCompleted,
-    RoundStarted,
-)
+from repro.cluster.events import EventLog, ItemMigrated, RoundCompleted, RoundStarted
 from repro.cluster.item import ItemId
-from repro.cluster.layout import Layout
+from repro.cluster.network import FairShareRates, RateModel
 from repro.cluster.system import MigrationPlanContext, StorageCluster
-from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
 from repro.obs import names
 from repro.obs.trace import Tracer, ensure_tracer
 
-TIME_MODELS = ("unit", "bandwidth_split")
-
-
-def _call_planner(
-    planner: Callable[..., MigrationSchedule],
-    instance: MigrationInstance,
-    seed: Optional[int],
-) -> MigrationSchedule:
-    """Invoke a replan callback, forwarding ``seed`` when it can take one.
-
-    Signature inspection (rather than try/except on ``TypeError``)
-    keeps genuine planner bugs loud.
-    """
-    if seed is None:
-        return planner(instance)
-    try:
-        params = inspect.signature(planner).parameters
-    except (TypeError, ValueError):
-        return planner(instance)
-    accepts_seed = "seed" in params or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )
-    if accepts_seed:
-        return planner(instance, seed=seed)
-    return planner(instance)
-
 
 @dataclass
 class ExecutionReport:
-    """Outcome of executing (part of) a migration."""
+    """Outcome of executing a migration schedule."""
 
     total_time: float = 0.0
     rounds_executed: int = 0
     migrated_items: List[ItemId] = field(default_factory=list)
-    stranded_items: List[ItemId] = field(default_factory=list)
     round_durations: List[float] = field(default_factory=list)
-    replans: int = 0
     log: EventLog = field(default_factory=EventLog)
-
-    @property
-    def completed(self) -> bool:
-        return not self.stranded_items
 
 
 class MigrationEngine:
@@ -93,12 +50,11 @@ class MigrationEngine:
 
     Args:
         cluster: the cluster to mutate.
-        time_model: ``"unit"`` (a round costs 1) or
-            ``"bandwidth_split"`` (Figure 2's fair-share model).
-        rate_model: overrides ``time_model`` with any
-            :class:`~repro.cluster.network.RateModel` — e.g.
-            :class:`~repro.cluster.network.FabricRates` for rack
-            topologies.
+        rate_model: any :class:`~repro.cluster.network.RateModel`
+            (default :class:`~repro.cluster.network.FairShareRates`,
+            Figure 2's model; :class:`~repro.cluster.network.FabricRates`
+            for rack topologies, :class:`~repro.cluster.network.UnitRates`
+            to count rounds).
         tracer: optional :class:`repro.obs.Tracer`; each
             :meth:`execute` call becomes a ``cluster.execute`` span
             with one ``cluster.round`` child per executed round.  The
@@ -108,53 +64,26 @@ class MigrationEngine:
     def __init__(
         self,
         cluster: StorageCluster,
-        time_model: str = "bandwidth_split",
-        rate_model=None,
+        rate_model: Optional[RateModel] = None,
         tracer: Optional[Tracer] = None,
     ):
-        if time_model not in TIME_MODELS:
-            raise ValueError(f"unknown time model {time_model!r}; expected {TIME_MODELS}")
         self.cluster = cluster
-        self.time_model = time_model
-        self.rate_model = rate_model
+        self.rate_model = rate_model if rate_model is not None else FairShareRates()
         self.tracer = ensure_tracer(tracer)
 
-    # ------------------------------------------------------------------
-    def round_duration(
-        self, context: MigrationPlanContext, round_edges: List[int]
-    ) -> float:
-        """Simulated duration of one round."""
-        if self.rate_model is not None:
-            return self.rate_model.round_duration(self.cluster, context, round_edges)
-        if self.time_model == "unit":
-            return 1.0
-        from repro.cluster.network import FairShareRates
-
-        return FairShareRates().round_duration(self.cluster, context, round_edges)
-
     def execute(
-        self,
-        context: MigrationPlanContext,
-        schedule: MigrationSchedule,
-        fail_disk_after_round: Optional[Tuple[int, DiskId]] = None,
-        report: Optional[ExecutionReport] = None,
+        self, context: MigrationPlanContext, schedule: MigrationSchedule
     ) -> ExecutionReport:
         """Run the schedule round by round, applying moves to the layout.
 
         Args:
             context: the plan (instance + edge→item map).
             schedule: a validated schedule for ``context.instance``.
-            fail_disk_after_round: optional ``(round_index, disk_id)``;
-                the disk fails once that round completes, aborting the
-                remaining rounds (use
-                :meth:`execute_with_replan` to recover).
-            report: accumulate into an existing report (used by
-                replans) instead of a fresh one.
         """
         schedule.validate(context.instance)
-        rep = report if report is not None else ExecutionReport()
+        rep = ExecutionReport()
         graph = context.instance.graph
-        now = rep.total_time
+        now = 0.0
 
         with self.tracer.span(
             names.SPAN_CLUSTER_EXECUTE, rounds=len(schedule.rounds)
@@ -168,7 +97,9 @@ class MigrationEngine:
                     round=round_index,
                     transfers=len(round_edges),
                 ) as round_span:
-                    duration = self.round_duration(context, round_edges)
+                    duration = self.rate_model.round_duration(
+                        self.cluster, context, round_edges
+                    )
                     for eid in round_edges:
                         src, dst = graph.endpoints(eid)
                         item_id = context.edge_items[eid]
@@ -190,93 +121,8 @@ class MigrationEngine:
                 rep.log.record(
                     RoundCompleted(time=now, round_index=round_index, duration=duration)
                 )
-                if fail_disk_after_round is not None and round_index == fail_disk_after_round[0]:
-                    failed = fail_disk_after_round[1]
-                    self.cluster.remove_disk(failed)
-                    rep.log.record(DiskRemoved(time=now, disk_id=failed))
-                    done = set(rep.migrated_items)
-                    for later in schedule.rounds[round_index + 1 :]:
-                        for eid in later:
-                            item_id = context.edge_items[eid]
-                            if item_id not in done:
-                                rep.stranded_items.append(item_id)
-                    break
             exec_span.set(
                 rounds_executed=rep.rounds_executed, sim_time=now
             )
         rep.total_time = now
-        return rep
-
-    def execute_with_replan(
-        self,
-        context: MigrationPlanContext,
-        schedule: MigrationSchedule,
-        fail_after_round: int,
-        failed_disk: DiskId,
-        planner: Callable[..., MigrationSchedule],
-        reassign: Optional[Callable[[ItemId], DiskId]] = None,
-        seed: Optional[int] = None,
-    ) -> ExecutionReport:
-        """Execute, survive a disk failure, replan, and finish.
-
-        Items whose pending move *targeted* the failed disk are
-        re-targeted via ``reassign`` (default: round-robin over
-        surviving disks); items whose *source* was the failed disk are
-        lost to the migration and reported as stranded (in a replicated
-        system a replica would re-source them — out of the paper's
-        model).
-
-        Args:
-            planner: e.g. ``lambda inst: plan(inst).schedule``.
-            seed: forwarded to the planner (as ``seed=``) when given
-                and the planner accepts it, so replans are reproducible
-                run to run.  Planners without a ``seed`` parameter are
-                called exactly as before.
-        """
-        rep = self.execute(
-            context,
-            schedule,
-            fail_disk_after_round=(fail_after_round, failed_disk),
-        )
-        pending = list(dict.fromkeys(rep.stranded_items))
-        rep.stranded_items = []
-        if not pending:
-            return rep
-
-        survivors = sorted(self.cluster.disks, key=repr)
-        if not survivors:
-            rep.stranded_items = pending
-            return rep
-        cursor = 0
-
-        def default_reassign(_item: ItemId) -> DiskId:
-            nonlocal cursor
-            disk_id = survivors[cursor % len(survivors)]
-            cursor += 1
-            return disk_id
-
-        pick = reassign if reassign is not None else default_reassign
-        new_target = self.cluster.layout.copy()
-        lost: List[ItemId] = []
-        for item_id in pending:
-            src = self.cluster.layout.disk_of(item_id)
-            if src == failed_disk or src not in self.cluster.disks:
-                lost.append(item_id)
-                continue
-            wanted = context.target.disk_of(item_id)
-            new_target.place(
-                item_id, pick(item_id) if wanted == failed_disk else wanted
-            )
-        new_context = self.cluster.migration_to(new_target)
-        new_schedule = _call_planner(planner, new_context.instance, seed)
-        rep.replans += 1
-        rep.log.record(
-            MigrationReplanned(
-                time=rep.total_time,
-                reason=f"disk {failed_disk!r} failed",
-                remaining_items=new_context.num_moves,
-            )
-        )
-        rep = self.execute(new_context, new_schedule, report=rep)
-        rep.stranded_items.extend(lost)
         return rep

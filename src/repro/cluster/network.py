@@ -5,10 +5,12 @@ a storage system" (Section II), i.e. the disks are the bottleneck.
 Real clusters sit on rack fabrics with oversubscribed cores, so the
 simulator makes the rate computation pluggable:
 
+* :class:`UnitRates` — every round costs one time unit, so simulated
+  time equals the number of rounds (the paper's objective).
 * :class:`FairShareRates` — the paper's Figure 2 model (and the
-  engine's default): each disk splits its bandwidth over the transfers
-  it actually runs this round; a transfer's rate is the min of its
-  endpoints' shares.
+  engine's and executor's default): each disk splits its bandwidth
+  over the transfers it actually runs this round; a transfer's rate is
+  the min of its endpoints' shares.
 * :class:`ReservedLaneRates` — each disk statically partitions its
   bandwidth into ``c_v`` lanes regardless of use; matches the eager
   engine's assumption, enabling apples-to-apples comparison.
@@ -51,6 +53,13 @@ def _concurrency(context: MigrationPlanContext, round_edges: List[EdgeId]) -> Di
         counts[u] = counts.get(u, 0) + 1
         counts[v] = counts.get(v, 0) + 1
     return counts
+
+
+class UnitRates:
+    """Every round costs one time unit, whatever it carries."""
+
+    def round_duration(self, cluster, context, round_edges) -> float:
+        return 1.0
 
 
 class FairShareRates:

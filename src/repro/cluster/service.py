@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
 from repro.cluster.disk import DiskId
-from repro.cluster.engine import MigrationEngine
+from repro.cluster.network import FairShareRates
 from repro.cluster.system import MigrationPlanContext, StorageCluster
 from repro.core.schedule import MigrationSchedule
 
@@ -70,11 +70,12 @@ def service_degradation(
     context: MigrationPlanContext,
     schedule: MigrationSchedule,
     demand: Optional[Mapping[DiskId, float]] = None,
-    engine: Optional[MigrationEngine] = None,
 ) -> DegradationReport:
     """Compute the degradation integral of a schedule.
 
-    Per round: ``duration × Σ_v demand_v × (transfers_v / c_v)``.
+    Per round: ``duration × Σ_v demand_v × (transfers_v / c_v)``, with
+    durations from the Figure 2 model
+    (:class:`~repro.cluster.network.FairShareRates`).
     Demand defaults to the demand parked on each disk at migration
     start (conservative: items in flight keep charging their source).
 
@@ -82,7 +83,7 @@ def service_degradation(
     plan, not by executing it.
     """
     dem = dict(demand) if demand is not None else disk_demand(cluster)
-    eng = engine if engine is not None else MigrationEngine(cluster)
+    rates = FairShareRates()
     graph = context.instance.graph
     report = DegradationReport(num_rounds=schedule.num_rounds)
 
@@ -92,7 +93,7 @@ def service_degradation(
     )
 
     for round_edges in schedule.rounds:
-        duration = eng.round_duration(context, round_edges)
+        duration = rates.round_duration(cluster, context, round_edges)
         report.duration += duration
         # Items in flight this round are still displaced during it.
         report.displacement += duration * pending_demand

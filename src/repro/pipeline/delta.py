@@ -172,8 +172,9 @@ def plan_delta(
     Args:
         prior: result of ``plan(instance, "auto", seed)`` (or of an
             earlier ``plan_delta`` — replans chain).  Must carry its
-            instance and have been an ``"auto"`` plan; a forced-method
-            prior has no per-component structure to patch.
+            instance and have been an ``"auto"`` makespan plan; a
+            forced-method prior has no per-component structure to
+            patch, and a non-makespan objective is solved monolithically.
         delta: the instance edit to absorb.
         cache: optional :class:`PlanCache`.  Consulted per component
             exactly like ``plan()`` and **written through** for every
@@ -203,6 +204,11 @@ def plan_delta(
             f"plan_delta needs an 'auto' prior; got method "
             f"{prior.requested_method!r} (forced solves have no "
             f"per-component structure to patch)"
+        )
+    if prior.objective is not None and prior.objective.kind != "makespan":
+        raise ValueError(
+            f"plan_delta patches makespan plans only; the prior optimized "
+            f"{prior.objective.kind!r} (re-plan with repro.plan(objective=...))"
         )
     if prior.instance is None:
         raise ValueError(

@@ -39,6 +39,7 @@ The CLI front-end is ``repro-migrate run`` (resumable via
 ``--checkpoint``).
 """
 
+from repro.obs.export import load_trace
 from repro.runtime.checkpoint import (
     SCHEMA_VERSION,
     CheckpointError,
@@ -63,7 +64,7 @@ from repro.runtime.faults import (
     NetworkPartition,
 )
 from repro.runtime.policy import EscalationAction, RetryPolicy
-from repro.runtime.telemetry import JsonlTraceWriter, RuntimeTelemetry, read_trace
+from repro.runtime.telemetry import JsonlTraceWriter, RuntimeTelemetry
 
 __all__ = [
     "MigrationExecutor",
@@ -77,7 +78,7 @@ __all__ = [
     "EscalationAction",
     "RuntimeTelemetry",
     "JsonlTraceWriter",
-    "read_trace",
+    "load_trace",
     "save_checkpoint",
     "load_checkpoint",
     "restore_executor",

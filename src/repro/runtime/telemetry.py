@@ -8,8 +8,8 @@ The executor reports what happened through three channels:
   record per executed round — that is part of the checkpoint, so
   resumed runs keep accumulating the same totals;
 * an optional :class:`JsonlTraceWriter` — one JSON object per line,
-  keys sorted, suitable for offline analysis via
-  :func:`repro.analysis.metrics.summarize_runtime_trace`.
+  keys sorted, read back by :func:`repro.obs.export.load_trace` and
+  folded by :func:`repro.analysis.metrics.summarize_runtime_trace`.
 
 Telemetry is deliberately dumb: it never influences execution, so a
 run with tracing disabled is bit-for-bit identical to one with it on.
@@ -131,14 +131,3 @@ class JsonlTraceWriter:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def read_trace(path: str) -> List[Dict[str, Any]]:
-    """Load a JSONL trace back into a list of records."""
-    records: List[Dict[str, Any]] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records

@@ -1,4 +1,5 @@
-"""Tests for the migration engine and its time models."""
+"""Tests for the migration engine, its time models, and disk failures
+mid-migration (run on the executor, the one failure-replan path)."""
 
 import pytest
 
@@ -7,8 +8,10 @@ from repro.cluster.events import ItemMigrated, MigrationReplanned, RoundComplete
 from repro.cluster.engine import MigrationEngine
 from repro.cluster.item import DataItem
 from repro.cluster.layout import Layout
+from repro.cluster.network import UnitRates
 from repro.cluster.system import StorageCluster
 from repro import plan
+from repro.runtime import DiskCrash, FaultPlan, MigrationExecutor
 
 
 def figure2_cluster(items_per_pair: int, transfer_limit: int):
@@ -36,7 +39,7 @@ class TestTimeModels:
         cluster, target = figure2_cluster(3, transfer_limit=1)
         ctx = cluster.migration_to(target)
         sched = plan(ctx.instance).schedule
-        report = MigrationEngine(cluster, time_model="unit").execute(ctx, sched)
+        report = MigrationEngine(cluster, rate_model=UnitRates()).execute(ctx, sched)
         assert report.total_time == sched.num_rounds
 
     def test_figure2_arithmetic_c1_vs_c2(self):
@@ -69,11 +72,6 @@ class TestTimeModels:
         report = MigrationEngine(cluster).execute(ctx, sched)
         assert report.total_time == pytest.approx(1.0 / 0.5)
 
-    def test_unknown_time_model(self):
-        cluster, _ = figure2_cluster(1, 1)
-        with pytest.raises(ValueError):
-            MigrationEngine(cluster, time_model="warp")
-
 
 class TestExecution:
     def test_layout_reaches_target(self):
@@ -102,19 +100,23 @@ class TestExecution:
         assert sum(report.round_durations) == pytest.approx(report.total_time)
 
 
-class TestFailureInjection:
-    def test_failure_aborts_and_reports_stranded(self):
-        cluster, target = figure2_cluster(4, transfer_limit=1)
-        ctx = cluster.migration_to(target)
-        sched = plan(ctx.instance).schedule
-        assert sched.num_rounds > 2
-        report = MigrationEngine(cluster).execute(
-            ctx, sched, fail_disk_after_round=(0, "a")
-        )
-        assert report.rounds_executed == 1
-        assert report.stranded_items
-        assert "a" not in cluster.disks
+def run_with_crash(cluster, ctx, sched, disk, at_time):
+    """Run ``sched`` on the executor under unit time; ``disk`` crashes at
+    ``at_time`` (``1.0`` is the end of round 0)."""
+    faults = FaultPlan(crashes=(DiskCrash(disk, at_time),))
+    report = MigrationExecutor(
+        cluster, ctx, sched, faults=faults, rate_model=UnitRates()
+    ).run()
+    assert report.finished
+    # Conservation: every move is delivered or stranded, exactly once.
+    assert len(report.delivered) == len(set(report.delivered))
+    assert len(report.stranded) == len(set(report.stranded))
+    assert not set(report.delivered) & set(report.stranded)
+    assert sorted(report.delivered + report.stranded) == sorted(ctx.edge_items.values())
+    return report
 
+
+class TestFailureInjection:
     def test_replan_finishes_surviving_moves(self):
         # Items flowing d0 -> d1/d2; d2 fails after round 0; moves that
         # targeted d2 are re-aimed at survivors and everything whose
@@ -126,25 +128,14 @@ class TestFailureInjection:
         cluster = StorageCluster(disks=disks, items=items, layout=layout)
         ctx = cluster.migration_to(target)
         sched = plan(ctx.instance).schedule
-        engine = MigrationEngine(cluster, time_model="unit")
-        report = engine.execute_with_replan(
-            ctx,
-            sched,
-            fail_after_round=0,
-            failed_disk="d2",
-            planner=lambda inst: plan(inst).schedule,
-        )
+        report = run_with_crash(cluster, ctx, sched, "d2", 1.0)
         assert report.replans == 1
         assert report.log.of_type(MigrationReplanned)
-        # Every item is off d0 or was already moved; none lost since
-        # the failed disk was never a source of pending moves... items
-        # already moved to d2 before the failure stay accounted for.
-        for item_id in layout.items:
-            disk = cluster.layout.disk_of(item_id)
-            assert disk in ("d1", "d0", "d2")
-        assert not any(
-            cluster.layout.disk_of(i) == "d0" for i in report.migrated_items
-        )
+        assert report.stranded == []
+        # Items already moved to d2 before the failure stay there; every
+        # other item left d0 for d1.
+        for item_id in report.delivered:
+            assert cluster.layout.disk_of(item_id) in ("d1", "d2")
 
     def test_failure_on_last_round_needs_no_replan(self):
         """Nothing is pending after the final round: the disk failure
@@ -152,24 +143,16 @@ class TestFailureInjection:
         cluster, target = figure2_cluster(4, transfer_limit=1)
         ctx = cluster.migration_to(target)
         sched = plan(ctx.instance).schedule
-        engine = MigrationEngine(cluster, time_model="unit")
-        report = engine.execute_with_replan(
-            ctx,
-            sched,
-            fail_after_round=sched.num_rounds - 1,
-            failed_disk="a",
-            planner=lambda inst: plan(inst).schedule,
-        )
+        report = run_with_crash(cluster, ctx, sched, "a", float(sched.num_rounds))
         assert report.replans == 0
-        assert report.stranded_items == []
-        assert len(report.migrated_items) == ctx.num_moves
+        assert report.stranded == []
         assert report.rounds_executed == sched.num_rounds
         for item_id in target.items:
             assert cluster.layout.disk_of(item_id) == target.disk_of(item_id)
 
     def test_failure_of_uninvolved_disk_strands_nothing(self):
-        """A disk with zero remaining transfers dies: the replan simply
-        finishes the interrupted schedule with the original targets."""
+        """A disk with zero remaining transfers dies: the schedule
+        finishes with the original targets and nothing is replanned."""
         disks = [Disk(disk_id=f"d{i}", transfer_limit=1) for i in range(4)]
         items = [DataItem(item_id=f"i{k}") for k in range(4)]
         layout = Layout({f"i{k}": "d0" for k in range(4)})
@@ -179,17 +162,9 @@ class TestFailureInjection:
         ctx = cluster.migration_to(target)
         sched = plan(ctx.instance).schedule
         assert sched.num_rounds > 1
-        engine = MigrationEngine(cluster, time_model="unit")
-        report = engine.execute_with_replan(
-            ctx,
-            sched,
-            fail_after_round=0,
-            failed_disk="d3",
-            planner=lambda inst: plan(inst).schedule,
-        )
-        assert report.stranded_items == []
-        assert sorted(report.migrated_items) == sorted(layout.items)
-        assert report.replans == 1  # the abort still re-schedules the rest
+        report = run_with_crash(cluster, ctx, sched, "d3", 1.0)
+        assert report.stranded == []
+        assert report.replans == 0
         for item_id in target.items:
             assert cluster.layout.disk_of(item_id) == target.disk_of(item_id)
 
@@ -204,20 +179,10 @@ class TestFailureInjection:
         cluster = StorageCluster(disks=disks, items=items, layout=layout)
         ctx = cluster.migration_to(target)
         sched = plan(ctx.instance).schedule
-        engine = MigrationEngine(cluster, time_model="unit")
-        report = engine.execute_with_replan(
-            ctx,
-            sched,
-            fail_after_round=0,
-            failed_disk="d0",
-            planner=lambda inst: plan(inst).schedule,
-        )
-        assert len(report.stranded_items) == len(set(report.stranded_items))
-        for item_id in report.stranded_items:
+        report = run_with_crash(cluster, ctx, sched, "d0", 1.0)
+        assert report.stranded
+        for item_id in report.stranded:
             assert cluster.layout.disk_of(item_id) == "d0"
-        # Conservation: every move is migrated or stranded, never both.
-        assert not set(report.migrated_items) & set(report.stranded_items)
-        assert len(report.migrated_items) + len(report.stranded_items) == ctx.num_moves
 
     def test_replan_reports_lost_items_from_failed_source(self):
         disks = [Disk(disk_id=f"d{i}", transfer_limit=1) for i in range(2)]
@@ -227,14 +192,7 @@ class TestFailureInjection:
         cluster = StorageCluster(disks=disks, items=items, layout=layout)
         ctx = cluster.migration_to(target)
         sched = plan(ctx.instance).schedule
-        engine = MigrationEngine(cluster, time_model="unit")
-        report = engine.execute_with_replan(
-            ctx,
-            sched,
-            fail_after_round=0,
-            failed_disk="d0",
-            planner=lambda inst: plan(inst).schedule,
-        )
+        report = run_with_crash(cluster, ctx, sched, "d0", 1.0)
         # One item moved in round 0; the rest were sourced on d0.
-        assert len(report.migrated_items) == 1
-        assert len(report.stranded_items) == 3
+        assert len(report.delivered) == 1
+        assert len(report.stranded) == 3

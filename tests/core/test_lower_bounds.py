@@ -137,9 +137,13 @@ class TestWitnesses:
         """Certificate round-trip: heuristic witnesses re-verify
         through the independent checker."""
         from repro.checks import make_certificate, verify_certificate
+        from repro.core.lower_bounds import EXACT_LB2_NODE_LIMIT
 
-        inst = random_instance(8, 22, capacity_choices=(1, 2, 4), seed=seed)
-        cert = make_certificate(inst, exact_small=False)  # force heuristic
+        # Past the exhaustive LB2's node limit the heuristic runs.
+        inst = random_instance(20, 60, capacity_choices=(1, 2, 4), seed=seed)
+        assert inst.graph.num_nodes > EXACT_LB2_NODE_LIMIT
+        cert = make_certificate(inst)
+        assert not cert.exact
         assert verify_certificate(inst, cert) == cert.bound
         assert cert.bound == max(lb1(inst), lb2(inst))
 

@@ -7,8 +7,10 @@ import pytest
 from repro import MigrationInstance, lower_bound, plan
 from repro.analysis.metrics import compare_methods
 from repro.cluster.engine import MigrationEngine
+from repro.cluster.network import UnitRates
 from repro.cluster.traces import MigrationTrace, replay_trace
 from repro.core.exact import exact_optimum_rounds
+from repro.runtime import DiskCrash, FaultPlan, MigrationExecutor
 from repro.workloads.generators import (
     bipartite_instance,
     clique_instance,
@@ -93,16 +95,18 @@ class TestSimulatorPipeline:
     def test_failure_recovery_pipeline(self):
         scenario = scale_out_scenario(num_old=4, num_new=2, items_per_old_disk=20, seed=6)
         sched = plan(scenario.instance).schedule
-        engine = MigrationEngine(scenario.cluster, time_model="unit")
         failed = "new1"
-        report = engine.execute_with_replan(
+        # Unit time: the crash at t=1.0 lands right after round 0.
+        report = MigrationExecutor(
+            scenario.cluster,
             scenario.context,
             sched,
-            fail_after_round=0,
-            failed_disk=failed,
-            planner=lambda inst: plan(inst).schedule,
-        )
+            faults=FaultPlan(crashes=(DiskCrash(failed, 1.0),)),
+            rate_model=UnitRates(),
+        ).run()
+        assert report.finished
         assert report.replans == 1
-        # Nothing may sit on the failed disk afterwards except items it
-        # received before failing (which are lost to this migration).
         assert failed not in scenario.cluster.disks
+        # Every move is delivered or stranded, exactly once.
+        moves = sorted(scenario.context.edge_items.values())
+        assert sorted(report.delivered + report.stranded) == moves

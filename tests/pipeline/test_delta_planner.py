@@ -10,6 +10,7 @@ from repro.checks.certify import (
     verify_patch_certificate,
 )
 from repro.core.delta import InstanceDelta, apply_delta
+from repro.core.objectives import GroupCompletionObjective
 from repro.core.problem import MigrationInstance
 from repro.graphs.multigraph import Multigraph
 from repro.obs import InMemoryExporter, Tracer, names
@@ -20,7 +21,7 @@ from repro.pipeline.delta import (
     DISPOSITION_RESOLVED,
     DeltaPlanResult,
 )
-from tests.conftest import reference_kernels
+from tests.conftest import random_instance, reference_kernels
 
 
 def two_component_instance():
@@ -186,6 +187,21 @@ class TestErrors:
         )
         with pytest.raises(ValueError, match="instance"):
             plan_delta(stripped, InstanceDelta(), cache=cache)
+
+    def test_requires_makespan_prior(self):
+        """A prior planned under another objective is refused, not
+        silently patched as a makespan plan."""
+        instance = random_instance(5, 8, seed=2)
+        eids = sorted(instance.graph.edge_ids())
+        objective = GroupCompletionObjective(
+            {eid: ("a" if i % 2 == 0 else "b") for i, eid in enumerate(eids)},
+            {"a": 2, "b": 1},
+        )
+        prior = plan(instance, objective=objective)
+        assert prior.requested_method == "auto"
+        delta = InstanceDelta(add_moves=(instance.graph.endpoints(eids[0]),))
+        with pytest.raises(ValueError, match="makespan"):
+            plan_delta(prior, delta)
 
 
 class TestBackends:

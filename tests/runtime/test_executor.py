@@ -7,10 +7,22 @@ from repro.cluster.engine import MigrationEngine
 from repro.cluster.events import ItemMigrated, RoundCompleted, RoundStarted
 from repro.cluster.item import DataItem
 from repro.cluster.layout import Layout
+from repro.cluster.network import FabricRates, FabricTopology, FairShareRates, UnitRates
 from repro.cluster.system import StorageCluster
 from repro import plan
 from repro.runtime import FaultPlan, MigrationExecutor, RetryPolicy
-from repro.workloads.scenarios import decommission_scenario, scale_out_scenario
+from repro.workloads.scenarios import (
+    decommission_scenario,
+    scale_out_scenario,
+    vod_rebalance_scenario,
+)
+
+#: Rate model per name, built for a cluster (the fabric stripes its disks).
+RATE_MODELS = {
+    "unit": lambda cluster: UnitRates(),
+    "fair_share": lambda cluster: FairShareRates(),
+    "fabric": lambda cluster: FabricRates(FabricTopology.striped(cluster.disks, 3, 2.0)),
+}
 
 
 def small_cluster(num_items=6):
@@ -33,22 +45,43 @@ class TestFaultFreeExecution:
         for item_id in target.items:
             assert cluster.layout.disk_of(item_id) == target.disk_of(item_id)
 
-    def test_matches_engine_timings(self):
-        """With no faults the executor reproduces the engine's clock."""
-        scenario = decommission_scenario(seed=3)
-        sched = plan(scenario.instance).schedule
-        engine_scenario = decommission_scenario(seed=3)
-        engine_report = MigrationEngine(engine_scenario.cluster).execute(
-            engine_scenario.context, plan(engine_scenario.instance).schedule
-        )
-        report = MigrationExecutor(scenario.cluster, scenario.context, sched).run()
-        assert report.total_time == pytest.approx(engine_report.total_time)
-        assert report.rounds_executed == engine_report.rounds_executed
+    @pytest.mark.parametrize("method", ["auto", "homogeneous"])
+    @pytest.mark.parametrize("rates", sorted(RATE_MODELS))
+    @pytest.mark.parametrize(
+        "builder",
+        [vod_rebalance_scenario, scale_out_scenario, decommission_scenario],
+        ids=lambda builder: builder.__name__,
+    )
+    def test_matches_engine_timings(self, builder, rates, method):
+        """With no faults the executor reproduces the engine's clock,
+        layout and event log under every rate model."""
+        runs = []
+        for run in ("engine", "executor"):
+            scenario = builder(seed=11)
+            sched = plan(scenario.instance, method=method).schedule
+            model = RATE_MODELS[rates](scenario.cluster)
+            if run == "engine":
+                report = MigrationEngine(scenario.cluster, model).execute(
+                    scenario.context, sched
+                )
+            else:
+                report = MigrationExecutor(
+                    scenario.cluster, scenario.context, sched, rate_model=model
+                ).run()
+            durations = [e.duration for e in report.log.of_type(RoundCompleted)]
+            events = [
+                (type(e).__name__, e.time, getattr(e, "item_id", None))
+                for e in report.log
+            ]
+            runs.append(
+                (report.total_time, durations, scenario.cluster.layout.as_dict(), events)
+            )
+        assert runs[0] == runs[1]
 
     def test_unit_time_model(self):
         cluster, ctx, _ = small_cluster()
         sched = plan(ctx.instance).schedule
-        report = MigrationExecutor(cluster, ctx, sched, time_model="unit").run()
+        report = MigrationExecutor(cluster, ctx, sched, rate_model=UnitRates()).run()
         assert report.total_time == pytest.approx(sched.num_rounds)
 
     def test_event_log_compatible_with_engine_consumers(self):

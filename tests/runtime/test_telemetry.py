@@ -10,7 +10,7 @@ from repro.runtime import (
     JsonlTraceWriter,
     MigrationExecutor,
     RuntimeTelemetry,
-    read_trace,
+    load_trace,
 )
 from repro.workloads.scenarios import decommission_scenario
 
@@ -50,7 +50,7 @@ class TestJsonlTrace:
             writer.emit({"type": "x", "t": 1.0, "b": 2, "a": 1})
         raw = open(path).read()
         assert raw == '{"a": 1, "b": 2, "t": 1.0, "type": "x"}\n'
-        assert read_trace(path) == [{"a": 1, "b": 2, "t": 1.0, "type": "x"}]
+        assert load_trace(path) == [{"a": 1, "b": 2, "t": 1.0, "type": "x"}]
 
     def test_append_mode_extends(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
@@ -58,7 +58,7 @@ class TestJsonlTrace:
             writer.emit({"type": "first"})
         with JsonlTraceWriter(path, append=True) as writer:
             writer.emit({"type": "second"})
-        assert [r["type"] for r in read_trace(path)] == ["first", "second"]
+        assert [r["type"] for r in load_trace(path)] == ["first", "second"]
 
 
 class TestTraceAnalysisPipeline:

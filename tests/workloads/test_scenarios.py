@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.engine import MigrationEngine
+from repro.cluster.network import UnitRates
 from repro import plan
 from repro.workloads.scenarios import (
     decommission_scenario,
@@ -89,9 +90,9 @@ class TestScenarioExecution:
     def test_executes_to_target(self, builder):
         scenario = builder(seed=3)
         sched = plan(scenario.instance).schedule
-        engine = MigrationEngine(scenario.cluster, time_model="unit")
+        engine = MigrationEngine(scenario.cluster, rate_model=UnitRates())
         report = engine.execute(scenario.context, sched)
-        assert report.completed
+        assert len(report.migrated_items) == scenario.context.num_moves
         assert report.total_time == sched.num_rounds
         for item_id in scenario.context.target.items:
             if item_id in scenario.cluster.layout:
