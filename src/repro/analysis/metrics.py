@@ -5,15 +5,14 @@ rounds, the certified lower bound, the ratio between them (an upper
 bound on the true approximation ratio, since ``LB <= OPT``), and the
 Theorem 5.1 budget ``LB + 2⌈√LB⌉``.
 
-Also consumes the structured JSONL traces written by
-:mod:`repro.runtime.telemetry` (:func:`load_runtime_trace` /
-:func:`summarize_runtime_trace`) — the trace format is plain JSON, so
-this module needs no runtime import and works on archived traces.
+Also folds the structured JSONL traces written by
+:mod:`repro.runtime.telemetry` (:func:`summarize_runtime_trace`, fed by
+:func:`repro.obs.export.load_trace`) — the trace format is plain JSON,
+so this module needs no runtime import and works on archived traces.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -112,17 +111,6 @@ class RuntimeSummary:
     def goodput(self) -> float:
         """Delivered transfers per attempted transfer (1.0 = no waste)."""
         return self.delivered / self.attempts if self.attempts else 1.0
-
-
-def load_runtime_trace(path: str) -> List[Dict[str, Any]]:
-    """Read a runtime JSONL trace back into records."""
-    records: List[Dict[str, Any]] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
 
 
 def summarize_runtime_trace(records: Sequence[Mapping[str, Any]]) -> RuntimeSummary:

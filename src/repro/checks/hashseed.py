@@ -196,6 +196,27 @@ sys.stdout.write(json.dumps(payload, sort_keys=True))
 """
 
 
+#: Prints the lower-bound certificate of two instances: one small enough
+#: for the exact LB2 enumeration and one odd-capacity component above
+#: that limit, whose LB2 witness comes from the heap peel.  Both
+#: witness subsets are str-labelled and chosen by ``repr`` tie-breaks,
+#: so any hash-order leak changes the subset bytes.  argv: seed
+WITNESS_DRIVER = """\
+import json, sys
+from repro.checks.certify import certificate_to_json, make_certificate
+from repro.workloads import random_instance
+
+seed = int(sys.argv[1])
+payload = {}
+for path, num_disks, num_items in (("exact", 12, 40), ("peel", 20, 60)):
+    instance = random_instance(
+        num_disks, num_items, capacities={1: 0.4, 3: 0.4, 5: 0.2}, seed=seed,
+    )
+    payload[path] = certificate_to_json(make_certificate(instance))
+sys.stdout.write(json.dumps(payload, sort_keys=True))
+"""
+
+
 #: Runs the quick approximation-gap sweep — every family exact-solved,
 #: every optimality certificate verified, every heuristic ratio
 #: recorded — and prints the canonical metrics JSON.  The exact
@@ -342,6 +363,11 @@ def check_determinism(
     checks.append(
         compare_across_hash_seeds(
             "delta/plan-delta-chain", DELTA_DRIVER, ["7"], hash_seeds
+        )
+    )
+    checks.append(
+        compare_across_hash_seeds(
+            "lb/witness-certificates", WITNESS_DRIVER, ["3"], hash_seeds
         )
     )
     if include_executor:

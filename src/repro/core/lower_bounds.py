@@ -23,6 +23,7 @@ subset is a self-contained proof of the bound that
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -30,11 +31,12 @@ from repro.core.problem import MigrationInstance
 from repro.graphs.multigraph import Node
 
 #: Node-count cutoff below which LB2 is computed by exhaustive subset
-#: enumeration (``2^n`` subsets, each an ``O(m)`` scan — at 14 nodes
-#: that is ~16k subsets, milliseconds; every doubling of the budget
-#: costs 2×).  The single source of truth: :func:`lb2_exact`,
-#: :func:`lower_bound` and :mod:`repro.checks.certify` all key off it,
-#: so "exact when small" means the same thing everywhere.
+#: enumeration (at most ``2^n`` connected subsets, each reached by one
+#: include that costs ``O(deg v)`` — at 14 nodes that is ~16k subsets,
+#: milliseconds; every extra node doubles the budget).  The single
+#: source of truth: :func:`lb2_exact`, :func:`lower_bound` and
+#: :mod:`repro.checks.certify` all key off it, so "exact when small"
+#: means the same thing everywhere.
 EXACT_LB2_NODE_LIMIT = 14
 
 
@@ -78,8 +80,14 @@ def subset_bound(instance: MigrationInstance, subset: Iterable[Node]) -> int:
         return 0
     half_capacity = sum(instance.capacity(v) for v in nodes) // 2
     if half_capacity == 0:
-        raise ValueError(f"subset {nodes!r} has internal edges but capacity sum < 2")
+        raise _no_capacity_error(nodes)
     return math.ceil(edges_inside / half_capacity)
+
+
+def _no_capacity_error(subset: Iterable[Node]) -> ValueError:
+    return ValueError(
+        f"subset {sorted(subset, key=repr)!r} has internal edges but capacity sum < 2"
+    )
 
 
 def lb2_exact(instance: MigrationInstance, max_nodes: int = EXACT_LB2_NODE_LIMIT) -> int:
@@ -97,35 +105,45 @@ def lb2_exact_witness(
 ) -> Tuple[List[Node], int]:
     """Exact ``Γ'`` plus a maximizing subset (empty list when Γ' = 0).
 
-    Enumerates *connected* subsets via the shared
-    :func:`repro.exact.subsets.connected_node_subsets` iterator (also
-    used by the branch-and-bound pruner).  That restriction is lossless:
-    a disconnected maximizer splits into components whose half-capacities
-    sum to at most the union's (floor superadditivity) and the mediant
-    inequality then bounds the union's density term by its densest
-    component — see :mod:`repro.exact.subsets`.
+    Enumerates *connected* subsets with the shared
+    :func:`repro.exact.subsets.counted_subsets` tree (also used by the
+    branch-and-bound pruner), which hands over each subset's ``|E(S)|``
+    and ``Σ c_v`` with it, so no subset is rescanned.  The connected
+    restriction is lossless: a disconnected maximizer splits into
+    components whose half-capacities sum to at most the union's (floor
+    superadditivity) and the mediant inequality then bounds the union's
+    density term by its densest component — see
+    :mod:`repro.exact.subsets`.  The witness is the first subset, in
+    enumeration order, that attains the maximum.
 
     Raises:
         ValueError: if the graph has more than ``max_nodes`` nodes
-            (the enumeration is exponential).
+            (the enumeration is exponential), or if a subset has
+            internal edges but capacity sum < 2.
     """
     # Imported lazily: repro.exact sits above repro.core in the layer
     # order, and its search module imports this one.
-    from repro.exact.subsets import connected_node_subsets
+    from repro.exact.subsets import counted_subsets, indexed_instance
 
-    nodes = instance.graph.nodes
-    if len(nodes) > max_nodes:
+    if instance.graph.num_nodes > max_nodes:
         raise ValueError(
-            f"exact LB2 is exponential; graph has {len(nodes)} > {max_nodes} nodes"
+            f"exact LB2 is exponential; graph has {instance.graph.num_nodes} "
+            f"> {max_nodes} nodes"
         )
+    nodes, adjacency, capacities = indexed_instance(instance)
     best = 0
-    best_subset: List[Node] = []
-    for combo in connected_node_subsets(instance, min_size=2):
-        value = subset_bound(instance, combo)
+    best_combo: Tuple[int, ...] = ()
+    for combo, inside, capsum in counted_subsets(adjacency, capacities):
+        if inside == 0:
+            continue
+        half = capsum // 2
+        if half == 0:
+            raise _no_capacity_error(nodes[i] for i in combo)
+        value = math.ceil(inside / half)
         if value > best:
             best = value
-            best_subset = list(combo)
-    return best_subset, best
+            best_combo = combo
+    return [nodes[i] for i in best_combo], best
 
 
 def lb2(instance: MigrationInstance) -> int:
@@ -191,42 +209,65 @@ def _peel(
 ) -> Tuple[List[Node], int]:
     """Best LB2 prefix along a capacity-aware peeling of ``component``.
 
-    Returns ``(subset, value)`` for the best prefix encountered.
+    Repeatedly removes the live node with the smallest
+    ``(internal_degree / c_v, repr(v))`` key, evaluating the bound
+    before each removal.  The minimum comes off a heap with lazy
+    deletion: a removal pushes one fresh entry per distinct live
+    neighbour, and a popped entry whose degree is out of date is
+    skipped, so a peel costs ``O((n + m) log n)`` with at most
+    ``n + m`` pops.  Returns ``(subset, value)`` for the best prefix
+    encountered, the subset sorted by ``repr``.
     """
     graph = instance.graph
-    nodes = set(component)
-    # Zero-init counter; only read by key, order never escapes.
-    internal_degree: Dict[Node, int] = {v: 0 for v in nodes}  # repro: allow-set-iter
-    edges_inside = 0
-    for _eid, u, v in graph.edges():
-        if u in nodes and v in nodes:
-            internal_degree[u] += 1
-            internal_degree[v] += 1
-            edges_inside += 1
-    capacity_sum = sum(instance.capacity(v) for v in nodes)
+    # Index nodes in repr order: the index then doubles as the repr
+    # tie-break of the heap key, and a prefix is already sorted.
+    members = sorted(component, key=repr)
+    n = len(members)
+    index = {v: i for i, v in enumerate(members)}
+    caps = [instance.capacity(v) for v in members]
+    # rows[i]: neighbour index -> multiplicity, over distinct neighbours.
+    rows: List[Dict[int, int]] = []
+    degree = [0] * n
+    for i, v in enumerate(members):
+        mult: Dict[int, int] = {}
+        for eid in graph.incident_edges(v):
+            j = index.get(graph.other_endpoint(eid, v))
+            if j is not None:
+                mult[j] = mult.get(j, 0) + 1
+        rows.append(mult)
+        degree[i] = sum(mult.values())
+    edges_inside = sum(degree) // 2
+    capacity_sum = sum(caps)
 
+    heap = [(degree[i] / caps[i], i, degree[i]) for i in range(n)]
+    heapq.heapify(heap)
+    removed_at = [n] * n  # n while the node is live
     best = 0
-    best_subset: List[Node] = []
-    while len(nodes) >= 2 and edges_inside > 0:
+    best_step = 0
+    step = 0
+    while n - step >= 2 and edges_inside > 0:
         half = capacity_sum // 2
         if half > 0:
             value = math.ceil(edges_inside / half)
             if value > best:
                 best = value
-                best_subset = sorted(nodes, key=repr)
+                best_step = step
         # Remove the node contributing least density per unit capacity.
-        victim = min(
-            nodes, key=lambda v: (internal_degree[v] / instance.capacity(v), repr(v))
-        )
-        nodes.discard(victim)
-        capacity_sum -= instance.capacity(victim)
-        for eid in graph.incident_edges(victim):
-            other = graph.other_endpoint(eid, victim)
-            if other in nodes:
-                internal_degree[other] -= 1
-                edges_inside -= 1
-        internal_degree.pop(victim, None)
-    return best_subset, best
+        while True:
+            _ratio, victim, seen_degree = heapq.heappop(heap)
+            if removed_at[victim] == n and seen_degree == degree[victim]:
+                break
+        removed_at[victim] = step
+        step += 1
+        capacity_sum -= caps[victim]
+        for j, m in rows[victim].items():
+            if removed_at[j] == n:
+                degree[j] -= m
+                edges_inside -= m
+                heapq.heappush(heap, (degree[j] / caps[j], j, degree[j]))
+    if best == 0:
+        return [], 0
+    return [members[i] for i in range(n) if removed_at[i] >= best_step], best
 
 
 def lower_bound(instance: MigrationInstance) -> int:

@@ -4,8 +4,8 @@ The rest of the repo certifies *lower bounds*; this package certifies
 *optima*.  It contains:
 
 * :mod:`repro.exact.subsets` — deterministic connected-subset
-  enumeration shared by the exact LB2 witness and the branch-and-bound
-  pruner;
+  enumeration, carrying each subset's ``|E(S)|`` and ``Σ c_v``, shared
+  by the exact LB2 witness and the branch-and-bound pruner;
 * :mod:`repro.exact.search` — a deterministic DFS branch-and-bound
   edge-coloring solver over the compact CSR arrays, supporting the
   makespan, bounded-color and group-completion objectives and emitting
@@ -31,7 +31,11 @@ from repro.exact.search import (
     solve_exact,
     verify_optimality,
 )
-from repro.exact.subsets import connected_node_subsets, connected_subsets
+from repro.exact.subsets import (
+    connected_node_subsets,
+    connected_subsets,
+    counted_subsets,
+)
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -44,6 +48,7 @@ __all__ = [
     "OptimalityCertificate",
     "connected_node_subsets",
     "connected_subsets",
+    "counted_subsets",
     "exact_bb_schedule",
     "instance_digest",
     "solve_exact",

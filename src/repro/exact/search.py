@@ -70,7 +70,7 @@ from repro.core.objectives import (
 )
 from repro.core.problem import MigrationInstance
 from repro.core.schedule import MigrationSchedule
-from repro.exact.subsets import connected_subsets
+from repro.exact.subsets import counted_subsets
 from repro.graphs.array_backend import CompactInstance, lift_rounds, lower_instance
 
 #: Applicability cap on items: beyond this the search space is too
@@ -264,8 +264,9 @@ def _dense_subsets(ci: CompactInstance) -> List[Tuple[Tuple[int, ...], int]]:
     Returns up to :data:`MAX_TRACKED_SUBSETS` ``(node_indices,
     edges_inside)`` pairs, ordered by descending density bound then by
     the subset itself — a pure function of the CSR arrays, via the same
-    :func:`repro.exact.subsets.connected_subsets` iterator that powers
-    the exact LB2 witness.
+    :func:`repro.exact.subsets.counted_subsets` tree that powers the
+    exact LB2 witness (it hands over ``|E(S)|`` and ``Σ c_v`` per
+    subset, so no edge is rescanned).
     """
     g = ci.graph
     caps = ci.capacities
@@ -274,17 +275,7 @@ def _dense_subsets(ci: CompactInstance) -> List[Tuple[Tuple[int, ...], int]]:
         for v in range(g.num_nodes)
     ]
     scored: List[Tuple[int, Tuple[int, ...], int]] = []
-    for combo in connected_subsets(adjacency, min_size=2):
-        mask = 0
-        capsum = 0
-        for v in combo:
-            mask |= 1 << v
-            capsum += caps[v]
-        inside = sum(
-            1
-            for e in range(g.num_edges)
-            if (mask >> g.edge_u[e]) & 1 and (mask >> g.edge_v[e]) & 1
-        )
+    for combo, inside, capsum in counted_subsets(adjacency, caps):
         half = capsum // 2
         if inside == 0 or half == 0:
             continue

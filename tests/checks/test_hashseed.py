@@ -5,6 +5,8 @@ into a permanent guard: planner schedules and full executor runs must
 be byte-identical across processes with different hash seeds.
 """
 
+import json
+
 import pytest
 
 from repro.checks.hashseed import (
@@ -14,6 +16,7 @@ from repro.checks.hashseed import (
     GAP_DRIVER,
     PLAN_DRIVER,
     SIM_DRIVER,
+    WITNESS_DRIVER,
     check_determinism,
     compare_across_hash_seeds,
     run_driver,
@@ -75,6 +78,23 @@ class TestExactDeterminism:
             "exact/gap-metrics", GAP_DRIVER, [], hash_seeds=(1, 31337)
         )
         assert check.ok, check.detail
+
+
+class TestWitnessDeterminism:
+    def test_both_witness_paths_identical_across_hash_seeds(self):
+        check = compare_across_hash_seeds(
+            "lb/witness-certificates", WITNESS_DRIVER, ["3"], hash_seeds=(1, 31337)
+        )
+        assert check.ok, check.detail
+
+    def test_driver_covers_the_exact_and_the_peel_path(self):
+        payload = json.loads(run_driver(WITNESS_DRIVER, ["3"], hash_seed=0))
+        assert payload["exact"]["exact"] is True
+        assert payload["peel"]["exact"] is False
+        # The peel witness is a proper prefix, not the whole component
+        # (which lb2_witness evaluates on its own), so the peel chose it.
+        assert 2 < len(payload["peel"]["lb2"]["nodes"]) < 20
+        assert payload["exact"]["lb2"]["nodes"]
 
 
 class TestFlowReportDeterminism:

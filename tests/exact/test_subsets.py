@@ -1,8 +1,15 @@
 """Tests for the shared connected-subset enumeration."""
 
+import random
 from itertools import combinations
 
-from repro.exact.subsets import connected_node_subsets, connected_subsets
+from repro.exact.subsets import (
+    connected_node_subsets,
+    connected_subsets,
+    counted_subsets,
+    indexed_instance,
+)
+from tests import lb_oracles
 from tests.conftest import random_instance
 
 
@@ -86,3 +93,45 @@ class TestNodeLifting:
         lifted = list(connected_node_subsets(inst))
         raw = list(connected_subsets(adjacency))
         assert len(lifted) == len(raw)
+
+
+def _random_adjacency(rng, n, m):
+    adjacency = [[] for _ in range(n)]
+    for _ in range(m):
+        u, v = rng.sample(range(n), 2)
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return adjacency
+
+
+class TestCountedEnumeration:
+    def test_order_matches_recursive_reference(self):
+        rng = random.Random(17)
+        for _ in range(120):
+            n = rng.randint(2, 11)
+            adjacency = _random_adjacency(rng, n, rng.randint(0, 3 * n))
+            for min_size in (1, 2):
+                assert list(connected_subsets(adjacency, min_size)) == list(
+                    lb_oracles.connected_subsets(adjacency, min_size)
+                )
+
+    def test_counts_match_a_rescan(self):
+        rng = random.Random(29)
+        for _ in range(80):
+            n = rng.randint(2, 9)
+            adjacency = _random_adjacency(rng, n, rng.randint(1, 4 * n))
+            edges = [(u, v) for u, row in enumerate(adjacency) for v in row if u < v]
+            caps = [rng.randint(1, 5) for _ in range(n)]
+            for subset, inside, capsum in counted_subsets(adjacency, caps):
+                members = set(subset)
+                assert inside == sum(1 for u, v in edges if u in members and v in members)
+                assert capsum == sum(caps[v] for v in subset)
+
+    def test_node_lifting_is_a_projection(self):
+        inst = random_instance(7, 15, seed=5)
+        nodes, adjacency, caps = indexed_instance(inst)
+        assert caps == [inst.capacity(v) for v in nodes]
+        assert list(connected_node_subsets(inst)) == [
+            tuple(nodes[i] for i in subset)
+            for subset, _inside, _capsum in counted_subsets(adjacency, caps)
+        ]

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.analysis.metrics import load_runtime_trace, summarize_runtime_trace
+from repro.analysis.metrics import summarize_runtime_trace
 from repro import plan
 from repro.runtime import (
     DiskCrash,
@@ -80,7 +80,7 @@ class TestTraceAnalysisPipeline:
             report = ex.run()
         assert report.finished
 
-        summary = summarize_runtime_trace(load_runtime_trace(path))
+        summary = summarize_runtime_trace(load_trace(path))
         counters = report.telemetry.counters
         assert summary.finished
         assert summary.rounds == report.rounds_executed
@@ -148,7 +148,7 @@ class TestTraceAnalysisPipeline:
         trace2.close()
         assert report.finished
 
-        summary = summarize_runtime_trace(load_runtime_trace(path))
+        summary = summarize_runtime_trace(load_trace(path))
         assert summary.finished
         assert summary.rounds == report.rounds_executed
         assert summary.delivered == len(report.delivered)

@@ -94,9 +94,10 @@ class TestRunCommand:
             "run", "decommission", "--seed", "1", "--trace", str(trace),
         ]) == 0
         capsys.readouterr()
-        from repro.analysis.metrics import load_runtime_trace, summarize_runtime_trace
+        from repro.analysis.metrics import summarize_runtime_trace
+        from repro.obs.export import load_trace
 
-        summary = summarize_runtime_trace(load_runtime_trace(str(trace)))
+        summary = summarize_runtime_trace(load_trace(str(trace)))
         assert summary.finished
         assert summary.delivered == 90
 
